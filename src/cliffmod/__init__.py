@@ -15,7 +15,6 @@ from .clifford import (
     Multivector,
     blade_product_sign,
     clifford_group_inverse,
-    geometric_product,
     scalar_product,
     vector_inverse,
 )
@@ -24,6 +23,7 @@ from .harness import run_checks
 from .series import (
     SeriesSpec,
     biregular_eisenstein,
+    evaluate,
     odd_weight_eisenstein,
     poincare_general,
     scalar_eisenstein,
@@ -45,7 +45,6 @@ __all__ = [
     "Multivector",
     "blade_product_sign",
     "clifford_group_inverse",
-    "geometric_product",
     "scalar_product",
     "vector_inverse",
     "VahlenMatrix",
@@ -60,6 +59,7 @@ __all__ = [
     "enumerate_cosets",
     "translation_lattice",
     "SeriesSpec",
+    "evaluate",
     "scalar_eisenstein",
     "odd_weight_eisenstein",
     "vector_eisenstein",

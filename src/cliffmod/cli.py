@@ -23,9 +23,8 @@ import sys
 
 from .clifford import Multivector
 from .congruence import GroupDescriptor, contains_neg_identity, enumerate_cosets, translation_lattice
-from .harness import CHECK_BUILDERS, check_limits, run_checks
-from .series import (SeriesSpec, biregular_eisenstein, odd_weight_eisenstein,
-                     scalar_eisenstein, vector_eisenstein)
+from .harness import CHECK_BUILDERS, THRESHOLDS_VERSION, check_limits, run_checks
+from .series import EISENSTEIN_KINDS, EVALUATE_KINDS, SeriesSpec, evaluate
 
 _GROUP_CHOICES = ("full", "principal", "upper0", "lower0", "theta")
 
@@ -56,8 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("eval", help="evaluate a truncated series")
     _add_group_args(pe)
-    pe.add_argument("--series", choices=("scalar", "oddweight", "vector", "biregular"),
-                    default="scalar")
+    pe.add_argument("--series", choices=EVALUATE_KINDS, default="scalar")
     pe.add_argument("--s", type=int, default=2, help="kernel weight s")
     pe.add_argument("--t", type=int, default=None, help="second weight (biregular)")
     pe.add_argument("--m", default=None, help="derivative multi-index, e.g. 3,0,0,0 (vector series)")
@@ -80,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pl = sub.add_parser("limits", help="check the x_n -> infinity limit of a series")
     _add_group_args(pl)
-    pl.add_argument("--series", choices=("scalar", "oddweight", "biregular"), default="scalar")
+    pl.add_argument("--series", choices=EISENSTEIN_KINDS, default="scalar")
     pl.add_argument("--s", type=int, default=2)
     pl.add_argument("--t", type=int, default=None)
     pl.add_argument("--maxlen", type=int, default=8)
@@ -191,29 +189,22 @@ def _run_cosets(args) -> int:
 def _run_eval(args) -> int:
     group = _group_from_args(args)
     m = _parse_multi_index(args.m, args.n) if args.m else None
-    spec = SeriesSpec(args.series if args.series != "vector" else "vector",
-                      group, s=args.s, t=args.t, m=m,
+    spec = SeriesSpec(args.series, group, s=args.s, t=args.t, m=m,
                       word_limit=args.maxlen, box_radius=args.box)
     pts = _load_points(args.points, args.n)
-    results = []
-    if args.series == "biregular":
-        ypts = _load_points(args.y_points, args.n) if args.y_points else pts
+    if args.y_points:
+        ypts = _load_points(args.y_points, args.n)
         if len(ypts) != len(pts):
             raise ValueError("--y-points must list as many points as --points")
-        for x, y in zip(pts, ypts):
-            res = biregular_eisenstein(x, y, spec)
-            results.append((x, y, res))
     else:
-        fn = {"scalar": scalar_eisenstein, "oddweight": odd_weight_eisenstein,
-              "vector": vector_eisenstein}[args.series]
-        for x in pts:
-            results.append((x, None, fn(x, spec)))
+        ypts = pts if spec.two_sided else [None] * len(pts)
+    results = [(x, y, evaluate(spec, x, y)) for x, y in zip(pts, ypts)]
     if args.out == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["point", "second_point", "value"])
         for x, y, res in results:
-            w.writerow([x.to_string(), y.to_string() if y else "", res.value.to_string()])
+            w.writerow([x.to_string(), "" if y is None else y.to_string(), res.value.to_string()])
         _emit(buf.getvalue(), args.outfile)
     else:
         payload = {
@@ -221,7 +212,7 @@ def _run_eval(args) -> int:
             "spec": {"s": args.s, "t": args.t, "m": list(m) if m else None,
                      "word_limit": args.maxlen, "box_radius": args.box},
             "results": [dict({"point": _mv_json(x)},
-                             **({"second_point": _mv_json(y)} if y else {}),
+                             **({} if y is None else {"second_point": _mv_json(y)}),
                              **_result_json(res))
                         for x, y, res in results],
         }
@@ -252,7 +243,7 @@ def _run_verify(args) -> int:
     for rep in reports:
         print(rep.summary_line(), file=sys.stderr)
     payload = {
-        "thresholds_version": "1",
+        "thresholds_version": THRESHOLDS_VERSION,
         "seed": seed,
         "all_passed": all(r.passed for r in reports),
         "reports": [r.to_json_dict() for r in reports],

@@ -375,10 +375,6 @@ def _parse_multivector(cls, dim: int, text: str):
 # ---- module-level operations -------------------------------------------
 
 
-def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    return a * b
-
-
 def scalar_product(a: Multivector, b: Multivector):
     """Sc(a * conjugate(b)); for equal arguments this is the squared norm."""
     a._check_dim(b)

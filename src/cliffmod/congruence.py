@@ -20,7 +20,7 @@ coset of T(Lambda)\\Lambda exactly when their bottom rows agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -256,6 +256,8 @@ def _gamma_ball(n: int, p: int, max_len: int) -> tuple[VahlenMatrix, ...]:
     entries, so each element is reached by a shortest word and the
     enumeration order is deterministic.
     """
+    if max_len < 0:
+        raise ValueError("word length bound must be >= 0")
     gens = gamma_generators(n, p)
     start = VahlenMatrix.identity(n)
     seen = {_matrix_key(start)}
@@ -280,8 +282,6 @@ def _matrix_key(m: VahlenMatrix) -> tuple:
 
 
 def gamma_ball(n: int, p: int, max_len: int) -> list[VahlenMatrix]:
-    if max_len < 0:
-        raise ValueError("word length bound must be >= 0")
     return list(_gamma_ball(n, p, max_len))
 
 

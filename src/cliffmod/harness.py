@@ -20,9 +20,8 @@ from .clifford import Multivector
 from .congruence import (GroupDescriptor, bottom_row_key, contains_neg_identity,
                          enumerate_cosets, gamma_ball, gamma_generators, is_member,
                          same_coset)
-from .kernels import (KernelJet, dirac_fd, dirac_power_fd, fd_partial,
-                      kernel_multiplicativity_check, left_factor, q0, q0_general)
-from .series import (SeriesSpec, biregular_eisenstein, coset_norm_sums,
+from .kernels import KernelJet, dirac_fd, dirac_power_fd, fd_partial, kernel_multiplicativity_check, q0
+from .series import (EISENSTEIN_KINDS, SeriesSpec, automorphy_residual, coset_norm_sums, evaluate,
                      odd_weight_eisenstein, scalar_eisenstein, tail_report, zeta_m_table)
 from .vahlen import VahlenMatrix, make_translation, mat_mul, mobius_apply
 
@@ -335,28 +334,17 @@ def check_limits(kind: str, n: int, p: int, s: int, t: int | None = None,
     with strictly decreasing error."""
     t0 = time.perf_counter()
     tol = _threshold(thresholds, "limit_final_error")
+    if kind not in EISENSTEIN_KINDS:
+        raise ValueError(f"no limit statement for series kind {kind!r}; choose from {EISENSTEIN_KINDS}")
     if variant is None:
-        # conventional defaults: odd weights need a group without -I
-        variant = "principal" if (kind == "oddweight" and level) else "full"
+        # a level alone names the principal congruence subgroup
+        variant = "principal" if level else "full"
     group = GroupDescriptor(n, p, variant, level if variant not in ("full", "theta") else None)
-    if kind == "scalar":
-        spec = SeriesSpec("scalar", group, s=s, word_limit=word_limit)
-    elif kind == "oddweight":
-        spec = SeriesSpec("oddweight", group, s=s, word_limit=word_limit)
-    elif kind == "biregular":
-        spec = SeriesSpec("biregular", group, s=s, t=t, word_limit=word_limit)
-    else:
-        raise ValueError(f"no limit statement for series kind {kind!r}")
+    spec = SeriesSpec(kind, group, s=s, t=t, word_limit=word_limit)
     errors = []
     target = None
     for tv in t_values:
-        x = Multivector.vector([0.0] * (n - 1) + [float(tv)])
-        if kind == "scalar":
-            res = scalar_eisenstein(x, spec)
-        elif kind == "oddweight":
-            res = odd_weight_eisenstein(x, spec)
-        else:
-            res = biregular_eisenstein(x, x, spec)
+        res = evaluate(spec, Multivector.vector([0.0] * (n - 1) + [float(tv)]))
         target = res.coset_count_c0
         errors.append((res.value - Multivector.scalar(n, float(target))).norm())
     decreasing = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
@@ -421,37 +409,12 @@ def check_automorphy(kind: str, n: int, p: int, s: int, t: int | None = None,
     mats = sample_group_elements(rng, group, n_elements, word_limit=4)
     pts = [sample_strip_point(rng, n, xn_range=(0.8, 1.8)) for _ in range(n_points)]
     pts2 = [sample_strip_point(rng, n, xn_range=(0.8, 1.8)) for _ in range(n_points)]
+    mfs = [m.to_float() for m in mats]
     medians = []
     for L in word_limits:
-        if kind == "scalar":
-            spec = SeriesSpec("scalar", group, s=s, word_limit=L)
-        elif kind == "oddweight":
-            spec = SeriesSpec("oddweight", group, s=s, word_limit=L)
-        elif kind == "biregular":
-            spec = SeriesSpec("biregular", group, s=s, t=t, word_limit=L)
-        else:
-            raise ValueError(f"no automorphy check for series kind {kind!r}")
-        resids = []
-        for m in mats:
-            mf = m.to_float()
-            for x, y in zip(pts, pts2):
-                if kind == "scalar":
-                    f_x = scalar_eisenstein(x, spec).value
-                    f_mx = scalar_eisenstein(mobius_apply(mf, x), spec).value
-                    den = mf.c * x + mf.d
-                    w = den.norm() ** float(s - n)
-                    resids.append((f_x - f_mx * w).norm())
-                elif kind == "oddweight":
-                    f_x = odd_weight_eisenstein(x, spec).value
-                    f_mx = odd_weight_eisenstein(mobius_apply(mf, x), spec).value
-                    w = q0_general(mf.c * x + mf.d, s)
-                    resids.append((f_x - w * f_mx).norm())
-                else:
-                    f_xy = biregular_eisenstein(x, y, spec).value
-                    f_m = biregular_eisenstein(mobius_apply(mf, x), mobius_apply(mf, y), spec).value
-                    lf = left_factor(mf.c * x + mf.d, s)
-                    rf = q0_general(y * mf.c.reverse() + mf.d.reverse(), t)
-                    resids.append((f_xy - lf * f_m * rf).norm())
+        spec = SeriesSpec(kind, group, s=s, t=t, word_limit=L)
+        ys = pts2 if spec.two_sided else [None] * n_points
+        resids = [automorphy_residual(spec, mf, x, y).norm() for mf in mfs for x, y in zip(pts, ys)]
         medians.append(statistics.median(resids))
     ok = all(medians[i + 1] < medians[i] for i in range(len(medians) - 1))
     dt = time.perf_counter() - t0

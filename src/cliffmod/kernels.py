@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 
 from .clifford import Multivector
-from .jets import Jet, jet_lift
+from .jets import jet_lift
 
 _DEFAULT_MAX_ORDER = 6
 
@@ -53,11 +53,15 @@ def q0_general(a: Multivector, s: int) -> Multivector:
     n = a.dim
     _check_weight(s, n)
     r = a.norm()
-    if r == 0.0:
-        raise ValueError("q0_general needs a nonzero argument")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"q0_general needs a nonzero finite argument, got |a| = {r}")
+    try:
+        scale = r ** float(-(n + 1 - s) if s % 2 else -(n - s))
+    except OverflowError:
+        raise ValueError(f"q0_general overflows at |a| = {r:.3e}") from None
     if s % 2:
-        return a.reverse().to_float() * r ** float(-(n + 1 - s))
-    return Multivector.scalar(n, r ** float(-(n - s)))
+        return a.reverse().to_float() * scale
+    return Multivector.scalar(n, scale)
 
 
 def left_factor(a: Multivector, s: int) -> Multivector:

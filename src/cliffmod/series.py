@@ -7,6 +7,17 @@ representatives a series is summed over.  Every coset series records
 its partial sums level by level so convergence diagnostics work on the
 actual summation order (height-sorted within each word-length level).
 
+Every coset series is one Poincare-type sum over the cosets M = (a b; c d)
+of T(G)\\G,
+
+    f(x, y) = sum_M  L(M, x) f~(M<x>) R(M, y),
+
+with automorphy factors L = q0_s(c x + d) and no R for the one-sided
+kinds, and L = conj(rev(q0_s(c x + d))), R = q0_t(y rev(c) + rev(d)) for
+the two-sided ("biregular") series.  The Eisenstein kinds have f~ = 1;
+the vector series has f~ = G_m(. + e_n); a "poincare" spec takes the
+caller's f~ through `poincare_general`.  `evaluate` is the entry point.
+
 Weights must satisfy the convergence constraint p < n - 1 - s (scalar /
 one-sided series, with s the kernel weight) or p < min(n, 2n - 2 - s - t)
 for the two-sided series; SeriesSpec enforces this at construction, and
@@ -25,7 +36,13 @@ from .congruence import (CosetRep, GroupDescriptor, contains_neg_identity,
 from .kernels import KernelJet, left_factor, q0_general
 from .vahlen import mobius_apply
 
-_SERIES_KINDS = ("scalar", "vector", "oddweight", "biregular", "poincare")
+# f~ = 1: the large-x_n limit of these is the count of c = 0 cosets
+EISENSTEIN_KINDS = ("scalar", "oddweight", "biregular")
+# kinds whose f~ the spec fixes, so `evaluate` needs nothing else
+EVALUATE_KINDS = EISENSTEIN_KINDS + ("vector",)
+SERIES_KINDS = EVALUATE_KINDS + ("poincare",)
+# the parity of s each kind needs (0 even, 1 odd); a poincare spec takes either
+_WEIGHT_PARITY = {"scalar": 0, "oddweight": 1, "vector": 1, "biregular": 1}
 
 
 @dataclass(frozen=True)
@@ -41,17 +58,20 @@ class SeriesSpec:
     box_radius: int = 4
 
     def __post_init__(self):
-        if self.kind not in _SERIES_KINDS:
-            raise ValueError(f"unknown series kind {self.kind!r}; choose from {_SERIES_KINDS}")
+        if self.kind not in SERIES_KINDS:
+            raise ValueError(f"unknown series kind {self.kind!r}; choose from {SERIES_KINDS}")
         n, p = self.group.n, self.group.p
         if not isinstance(self.s, int) or not 1 <= self.s < n:
             raise ValueError(f"weight s must be an integer in 1..{n - 1}, got {self.s}")
         if self.word_limit < 0 or self.box_radius < 1:
             raise ValueError("need word_limit >= 0 and box_radius >= 1")
-        if self.kind == "biregular":
+        parity = _WEIGHT_PARITY.get(self.kind)
+        if parity is not None and self.s % 2 != parity:
+            raise ValueError(f"{self.kind} series needs {('even', 'odd')[parity]} s, got s={self.s}")
+        if self.two_sided:
             if self.t is None or not isinstance(self.t, int) or not 1 <= self.t < n:
                 raise ValueError("biregular series needs a second weight t in 1..n-1")
-            if self.s % 2 == 0 or self.t % 2 == 0:
+            if self.t % 2 == 0:
                 raise ValueError("biregular series needs odd weights on both sides")
             bound = min(n, 2 * n - 2 - self.s - self.t)
             if not p < bound:
@@ -62,14 +82,17 @@ class SeriesSpec:
             if not p < n - 1 - self.s:
                 raise ValueError(f"convergence needs p < n - 1 - s = {n - 1 - self.s}, got p={p} "
                                  "(the coset sums diverge at and below the abscissa p + 1)")
-        if self.kind == "oddweight" and self.s % 2 == 0:
-            raise ValueError("odd-weight series needs odd s")
         if self.kind == "vector":
             if self.m is None:
                 raise ValueError("vector series needs a derivative multi-index m")
             _check_multi_index(self.m, n, minimum=3)
         elif self.m is not None:
             raise ValueError(f"{self.kind} series takes no multi-index")
+
+    @property
+    def two_sided(self) -> bool:
+        """Whether the series has a right factor in a second point y."""
+        return self.kind == "biregular"
 
 
 def _check_multi_index(m, n: int, minimum: int):
@@ -119,15 +142,7 @@ def zeta_m(m, n: int, box_radius: int) -> Multivector:
     and the symmetric box exhaustion converges absolutely.
     """
     m = tuple(m)
-    _check_multi_index(m, n, minimum=3)
-    if box_radius < 1:
-        raise ValueError("box_radius must be >= 1")
-    total = Multivector.zero(n)
-    order = sum(m)
-    for pt in _box_points(n - 1, box_radius, include_zero=False):
-        x = Multivector.vector(list(pt) + [0])
-        total = total + KernelJet(x, 1, order).q_m(m)
-    return total
+    return zeta_m_table([m], n, box_radius)[m]
 
 
 def zeta_m_table(ms, n: int, box_radius: int) -> dict:
@@ -135,6 +150,8 @@ def zeta_m_table(ms, n: int, box_radius: int) -> dict:
     ms = [tuple(m) for m in ms]
     for m in ms:
         _check_multi_index(m, n, minimum=3)
+    if box_radius < 1:
+        raise ValueError("box_radius must be >= 1")
     order = max(sum(m) for m in ms)
     totals = {m: Multivector.zero(n) for m in ms}
     for pt in _box_points(n - 1, box_radius, include_zero=False):
@@ -206,80 +223,130 @@ def series_cosets(group: GroupDescriptor, word_limit: int) -> list[CosetRep]:
     return [rep for rep in reps if _negated_key(rep.key) in keys]
 
 
-def _coset_term_sum(spec: SeriesSpec, term_fn) -> SeriesResult:
-    """Shared driver: sum term_fn(rep) over representatives, recording
-    partial sums after each word-length level (height-sorted inside)."""
-    reps = series_cosets(spec.group, spec.word_limit)
-    n = spec.group.n
+def _level_walk(group: GroupDescriptor, word_limit: int, term, total):
+    """Add term(rep) to total over the series cosets, level by level
+    (height-sorted within a level); returns the representatives and the
+    running total after each level."""
+    reps = series_cosets(group, word_limit)
     by_level: dict[int, list[CosetRep]] = {}
     for rep in reps:
         by_level.setdefault(rep.word_length, []).append(rep)
-    total = Multivector.zero(n)
-    partials: list[tuple[int, Multivector]] = []
-    n_terms = 0
-    for level in range(spec.word_limit + 1):
+    partials = []
+    for level in range(word_limit + 1):
         for rep in by_level.get(level, ()):
-            total = total + term_fn(rep)
-            n_terms += 1
+            total = total + term(rep)
         partials.append((level, total))
+    return reps, partials
+
+
+def _require_half_space(x: Multivector):
+    if not x.is_vector() or not float(x.component(x.dim)) > 0:
+        raise ValueError("series are evaluated on the open upper half-space (x_n > 0)")
+    if not all(math.isfinite(float(c)) for c in x.coeffs.values()):
+        raise ValueError("series are evaluated at points with finite coordinates")
+
+
+def _float_points(spec: SeriesSpec, x: Multivector, y: Multivector | None):
+    """The checked float points of one evaluation: y defaults to x for a
+    two-sided series and is None for a one-sided one."""
+    if spec.two_sided:
+        y = x if y is None else y
+    elif y is not None:
+        raise ValueError(f"{spec.kind} series is one-sided and takes no second point")
+    _require_half_space(x)
+    if y is None:
+        return x.to_float(), None
+    _require_half_space(y)
+    return x.to_float(), y.to_float()
+
+
+def _factors(spec: SeriesSpec, m, x: Multivector, y: Multivector | None):
+    """The automorphy factors (L, R) of a float coset matrix m: the summand
+    at m is L f~(m<x>) R, and the full series satisfies f(x, y) =
+    L f(m<x>, m<y>) R for group elements m.  R is None when y is."""
+    den = m.c * x + m.d
+    if y is None:
+        return q0_general(den, spec.s), None
+    return left_factor(den, spec.s), q0_general(y * m.c.reverse() + m.d.reverse(), spec.t)
+
+
+def _sandwich(left: Multivector, middle, right):
+    """left * middle * right, where a None middle or right is a factor 1."""
+    out = left if middle is None else left * middle
+    return out if right is None else out * right
+
+
+def _coset_series(spec: SeriesSpec, f_tilde, x: Multivector, y: Multivector | None = None) -> SeriesResult:
+    """The one driver: sum L f~(M<x>) R over the cosets; f~ None means 1."""
+    xf, yf = _float_points(spec, x, y)
+
+    def term(rep: CosetRep) -> Multivector:
+        mf = rep.matrix.to_float()
+        left, right = _factors(spec, mf, xf, yf)
+        middle = None if f_tilde is None else f_tilde(mobius_apply(mf, xf))
+        return _sandwich(left, middle, right)
+
+    reps, partials = _level_walk(spec.group, spec.word_limit, term, Multivector.zero(spec.group.n))
     c0 = sum(1 for rep in reps if rep.is_c_zero())
-    return SeriesResult(value=total, partial_sums=partials, coset_count_c0=c0, n_terms=n_terms)
+    return SeriesResult(value=partials[-1][1], partial_sums=partials, coset_count_c0=c0, n_terms=len(reps))
 
 
-def _denominator(rep: CosetRep, x: Multivector) -> Multivector:
-    mf = rep.matrix.to_float()
-    return mf.c * x + mf.d
+def evaluate(spec: SeriesSpec, x: Multivector, y: Multivector | None = None) -> SeriesResult:
+    """The truncated series `spec` at x, and at y for the two-sided series
+    (y defaults to x there; one-sided series take no y).
+
+    f~ is 1 for the Eisenstein kinds and G_m(. + e_n) for the vector
+    series; a "poincare" spec needs the caller's f~ (`poincare_general`).
+    """
+    if spec.kind not in EVALUATE_KINDS:
+        raise ValueError(f"a {spec.kind} series needs the caller's f~; use poincare_general")
+    f_tilde = None
+    if spec.kind == "vector":
+        e_n = Multivector.basis(spec.group.n, spec.group.n).to_float()
+        f_tilde = lambda u: lattice_G_m(u + e_n, spec.m, spec.box_radius)
+    return _coset_series(spec, f_tilde, x, y)
+
+
+def automorphy_residual(spec: SeriesSpec, m, x: Multivector, y: Multivector | None = None) -> Multivector:
+    """f(x, y) - L f(m<x>, m<y>) R for a float group element m with
+    automorphy factors (L, R): zero for the full series, so its size
+    measures what the truncation misses."""
+    xf, yf = _float_points(spec, x, y)
+    image = evaluate(spec, mobius_apply(m, xf), None if yf is None else mobius_apply(m, yf)).value
+    left, right = _factors(spec, m, xf, yf)
+    return evaluate(spec, xf, yf).value - _sandwich(left, image, right)
+
+
+def _require_kind(spec: SeriesSpec, kind: str):
+    if spec.kind != kind:
+        raise ValueError(f"spec.kind must be {kind!r}")
 
 
 def scalar_eisenstein(x: Multivector, spec: SeriesSpec) -> SeriesResult:
     """sum over cosets of |c x + d|^{s - n}, for even s (scalar-valued)."""
-    if spec.kind != "scalar":
-        raise ValueError("spec.kind must be 'scalar'")
-    if spec.s % 2:
-        raise ValueError("scalar series needs even s")
-    _require_half_space(x)
-    n = spec.group.n
-    xf = x.to_float()
-
-    def term(rep: CosetRep) -> Multivector:
-        den = _denominator(rep, xf)
-        return Multivector.scalar(n, den.norm() ** float(spec.s - n))
-
-    return _coset_term_sum(spec, term)
+    _require_kind(spec, "scalar")
+    return evaluate(spec, x)
 
 
 def odd_weight_eisenstein(x: Multivector, spec: SeriesSpec) -> SeriesResult:
     """sum over cosets of q0(c x + d) for odd s; identically zero whenever
     -I lies in the group (terms cancel in +-M pairs)."""
-    if spec.kind != "oddweight":
-        raise ValueError("spec.kind must be 'oddweight'")
-    _require_half_space(x)
-    xf = x.to_float()
-
-    def term(rep: CosetRep) -> Multivector:
-        return q0_general(_denominator(rep, xf), spec.s)
-
-    return _coset_term_sum(spec, term)
+    _require_kind(spec, "oddweight")
+    return evaluate(spec, x)
 
 
 def vector_eisenstein(x: Multivector, spec: SeriesSpec) -> SeriesResult:
     """sum over cosets of q0(c x + d) G_m(M<x> + e_n): the lattice average
     of the derivative kernel, made automorphic."""
-    if spec.kind != "vector":
-        raise ValueError("spec.kind must be 'vector'")
-    if spec.s % 2 == 0:
-        raise ValueError("vector series needs odd s")
-    _require_half_space(x)
-    n = spec.group.n
-    xf = x.to_float()
-    e_n = Multivector.basis(n, n).to_float()
+    _require_kind(spec, "vector")
+    return evaluate(spec, x)
 
-    def term(rep: CosetRep) -> Multivector:
-        mf = rep.matrix.to_float()
-        image = mobius_apply(mf, xf)
-        return q0_general(_denominator(rep, xf), spec.s) * lattice_G_m(image + e_n, spec.m, spec.box_radius)
 
-    return _coset_term_sum(spec, term)
+def biregular_eisenstein(x: Multivector, y: Multivector, spec: SeriesSpec) -> SeriesResult:
+    """Two-sided series  sum conj(rev(q0_s(c x + d))) q0_t(y rev(c) + rev(d))
+    over cosets; left-regular in x and right-regular in y."""
+    _require_kind(spec, "biregular")
+    return evaluate(spec, x, y)
 
 
 def poincare_general(f_tilde, spec: SeriesSpec):
@@ -289,43 +356,8 @@ def poincare_general(f_tilde, spec: SeriesSpec):
     (caller-asserted; see `translation_invariance_residual`).  Returns
     an evaluator mapping points to SeriesResult.
     """
-    if spec.kind != "poincare":
-        raise ValueError("spec.kind must be 'poincare'")
-
-    def evaluate(x: Multivector) -> SeriesResult:
-        _require_half_space(x)
-        xf = x.to_float()
-
-        def term(rep: CosetRep) -> Multivector:
-            mf = rep.matrix.to_float()
-            return q0_general(_denominator(rep, xf), spec.s) * f_tilde(mobius_apply(mf, xf))
-
-        return _coset_term_sum(spec, term)
-
-    return evaluate
-
-
-def biregular_eisenstein(x: Multivector, y: Multivector, spec: SeriesSpec) -> SeriesResult:
-    """Two-sided series  sum conj(rev(q0_s(c x + d))) q0_t(y rev(c) + rev(d))
-    over cosets; left-regular in x and right-regular in y."""
-    if spec.kind != "biregular":
-        raise ValueError("spec.kind must be 'biregular'")
-    _require_half_space(x)
-    _require_half_space(y)
-    xf, yf = x.to_float(), y.to_float()
-
-    def term(rep: CosetRep) -> Multivector:
-        mf = rep.matrix.to_float()
-        left = left_factor(mf.c * xf + mf.d, spec.s)
-        right = q0_general(yf * mf.c.reverse() + mf.d.reverse(), spec.t)
-        return left * right
-
-    return _coset_term_sum(spec, term)
-
-
-def _require_half_space(x: Multivector):
-    if not x.is_vector() or not float(x.component(x.dim)) > 0:
-        raise ValueError("series are evaluated on the open upper half-space (x_n > 0)")
+    _require_kind(spec, "poincare")
+    return lambda x: _coset_series(spec, f_tilde, x)
 
 
 def translation_invariance_residual(f, group: GroupDescriptor, points) -> float:
@@ -351,17 +383,7 @@ def coset_norm_sums(group: GroupDescriptor, alpha: float, word_limit: int) -> li
     it has abscissa alpha = p + 1 (diverges at and below, converges
     above, in the full-group limit).
     """
-    reps = series_cosets(group, word_limit)
-    totals = []
-    running = 0.0
-    by_level: dict[int, list[CosetRep]] = {}
-    for rep in reps:
-        by_level.setdefault(rep.word_length, []).append(rep)
-    for level in range(word_limit + 1):
-        for rep in by_level.get(level, ()):
-            running += rep.height ** (-alpha)
-        totals.append((level, running))
-    return totals
+    return _level_walk(group, word_limit, lambda rep: rep.height ** (-alpha), 0.0)[1]
 
 
 def tail_report(result_or_partials) -> dict:

@@ -209,3 +209,33 @@ def test_cli_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ---- cli: bad inputs -------------------------------------------------------------
+
+
+def _one_error_line(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_cosets_negative_maxlen_is_usage_error(capsys):
+    assert main(["cosets", "--n", "4", "--p", "1", "--maxlen", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_error_line(captured.err)
+
+
+@pytest.mark.parametrize("point", [
+    [0.0, 0.0, 0.0, 0.0, 1e-300],          # |x|^2 underflows to 0
+    [0.0, 0.0, 0.0, 0.0, 1e-160],          # |x|^(s-n) overflows
+    [0.0, 0.0, 0.0, 0.0, float("inf")],
+    [0.0, 0.0, 0.0, 0.0, 1e300],           # |x|^2 overflows to inf
+    [0.0, 0.0, float("nan"), 0.0, 1.0],
+])
+def test_cli_eval_bad_point_is_usage_error(tmp_path, capsys, point):
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps([point]))  # writes Infinity and NaN as JSON extensions
+    assert main(["eval", "--n", "5", "--maxlen", "4", "--points", str(pts)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_error_line(captured.err)

@@ -12,7 +12,7 @@ from cliffmod.congruence import GroupDescriptor, contains_neg_identity, enumerat
 from cliffmod.harness import DEFAULT_THRESHOLDS
 from cliffmod.kernels import dirac_power_fd, fd_partial, q0, q0_general, left_factor
 from cliffmod.series import (SeriesResult, SeriesSpec, abscissa_diagnostic, biregular_eisenstein,
-                             coset_norm_sums, epsilon_m, lattice_G_m, odd_weight_eisenstein,
+                             coset_norm_sums, epsilon_m, evaluate, lattice_G_m, odd_weight_eisenstein,
                              poincare_general, scalar_eisenstein, series_cosets, tail_report,
                              translation_invariance_residual, vector_eisenstein, zeta_m,
                              zeta_m_table)
@@ -46,6 +46,8 @@ def test_spec_rejections():
         SeriesSpec("scalar", FULL41, 2)  # p = 1 not < n-1-s = 1
     with pytest.raises(ValueError):
         SeriesSpec("oddweight", FULL51, 2)  # even weight
+    with pytest.raises(ValueError):
+        SeriesSpec("scalar", FULL51, 3)  # odd weight
     with pytest.raises(ValueError):
         SeriesSpec("vector", FULL41, 1)  # missing m
     with pytest.raises(ValueError):
@@ -97,6 +99,8 @@ def test_zeta_table_consistent():
     table = zeta_m_table(ms, 4, 2)
     for m in ms:
         assert (table[m] - zeta_m(m, 4, 2)).norm() < 1e-13
+    with pytest.raises(ValueError):
+        zeta_m_table(ms, 4, 0)
 
 
 def test_zeta_parity_vanishing():
@@ -230,8 +234,7 @@ def test_vector_series_is_a_poincare_series():
 
 def test_vector_series_weight_parity():
     with pytest.raises(ValueError):
-        # spec construction itself allows even s only when convergent;
-        # the evaluator then rejects the parity
+        # spec construction rejects the even weight
         vector_eisenstein(Multivector.vector([0.0, 0.0, 0.0, 0.0, 1.0]),
                           SeriesSpec("vector", FULL51, 2, m=(0, 0, 0, 0, 3), word_limit=2))
 
@@ -250,6 +253,27 @@ def test_biregular_series_equals_explicit_loop():
     assert (res.value - total).norm() < 1e-12 * max(1.0, total.norm())
     with pytest.raises(ValueError):
         biregular_eisenstein(x, Multivector.vector([0.0, 0.0, 0.0, -0.5]), spec)
+
+
+def test_evaluate_is_every_named_series():
+    x = Multivector.vector([0.25, -0.4, 0.1, 1.3])
+    y = Multivector.vector([-0.3, 0.2, 0.0, 0.9])
+    odd = SeriesSpec("oddweight", GroupDescriptor.principal(4, 1, 3), 1, word_limit=3)
+    vec = SeriesSpec("vector", FULL41, 1, m=(0, 0, 0, 3), word_limit=2, box_radius=1)
+    bi = SeriesSpec("biregular", FULL41, 1, t=1, word_limit=3)
+    scalar = SeriesSpec("scalar", FULL51, 2, word_limit=3)
+    x5 = scalar_point()
+    assert evaluate(scalar, x5).value == scalar_eisenstein(x5, scalar).value
+    assert evaluate(odd, x).value == odd_weight_eisenstein(x, odd).value
+    assert evaluate(vec, x).value == vector_eisenstein(x, vec).value
+    assert evaluate(bi, x, y).value == biregular_eisenstein(x, y, bi).value
+    assert evaluate(bi, x).value == biregular_eisenstein(x, x, bi).value  # y defaults to x
+    with pytest.raises(ValueError):
+        evaluate(odd, x, y)  # one-sided series take no second point
+    with pytest.raises(ValueError):
+        evaluate(SeriesSpec("poincare", FULL41, 1), x)  # f~ must come from the caller
+    with pytest.raises(ValueError):
+        vector_eisenstein(x, odd)  # the named doors keep their kind
 
 
 def test_translation_invariance_residual():
