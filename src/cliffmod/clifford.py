@@ -89,7 +89,7 @@ class Multivector:
             for mask, c in coeffs.items():
                 if not isinstance(mask, int) or not 0 <= mask < top:
                     raise ValueError(f"blade mask {mask!r} out of range for dim {dim}")
-                if not isinstance(c, (int, Fraction, float)):
+                if not isinstance(c, (float, int, Fraction)):
                     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
                 if c == 0:
                     continue

@@ -21,8 +21,6 @@ coset of T(Lambda)\\Lambda exactly when their bottom rows agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 from .clifford import Multivector
 from .vahlen import VahlenMatrix, make_inversion, make_translation, mat_inv, mat_mul
@@ -98,8 +96,7 @@ def in_order(a: Multivector, p: int, level: int = 1) -> bool:
     for mask, c in a.coeffs.items():
         if mask & ~span:
             return False
-        f = Fraction(c)
-        if f.denominator != 1 or f.numerator % level:
+        if c.denominator != 1 or c.numerator % level:
             return False
     return True
 
@@ -213,11 +210,8 @@ def is_translation(m: VahlenMatrix) -> bool:
 
 
 def _mv_key(v: Multivector) -> tuple:
-    items = []
-    for mask in sorted(v.coeffs):
-        c = Fraction(v.coeffs[mask])
-        items.append((mask, c.numerator, c.denominator))
-    return tuple(items)
+    # exact coefficients only: int and Fraction both carry numerator/denominator
+    return tuple((mask, c.numerator, c.denominator) for mask, c in sorted(v.coeffs.items()))
 
 
 def bottom_row_key(m: VahlenMatrix) -> tuple:
@@ -235,7 +229,7 @@ def same_coset(m1: VahlenMatrix, m2: VahlenMatrix, group: GroupDescriptor) -> bo
     return is_translation(q) and translation_lattice(group).contains(q.b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CosetRep:
     """A shortest-word representative of one coset of T(G) in G."""
 
@@ -248,33 +242,77 @@ class CosetRep:
         return self.matrix.c.is_zero()
 
 
-@lru_cache(maxsize=32)
+# Word balls whose size estimate exceeds this are refused before any work:
+# it admits p = 1 up to L = 10 (3070) and p = 2 up to L = 5 (1706).
+MAX_BALL_ESTIMATE = 4000
+
+
+def ball_size_estimate(p: int, max_len: int) -> int:
+    """Reduced words of length <= max_len in g = 2p + 1 generators,
+    1 + g((g-1)^L - 1)/(g-2): the free-group size of a word ball.  The
+    measured balls of Gamma_p stay under it (1930 of 3070 at p = 1,
+    L = 10; 716 of 1706 at p = 2, L = 5)."""
+    g = 2 * p + 1
+    return 1 + g * ((g - 1) ** max_len - 1) // (g - 2)
+
+
+class _GrowingBall:
+    """The breadth-first word ball of Gamma_p in R^n, grown one level at a
+    time, so the ball of radius L is a prefix of every larger one.  The
+    exact keys that deduplicate it are rebuilt for each growth rather than
+    kept, and equal entries of different elements share one (immutable)
+    Multivector: both would otherwise outweigh the ball's other memory."""
+
+    def __init__(self, n: int, p: int):
+        self.gens = gamma_generators(n, p)
+        self.elements = [VahlenMatrix.identity(n)]
+        self.frontier = list(self.elements)  # the elements of the outermost level
+        self.level_ends = [1]  # elements[:level_ends[L]] is the ball of radius L
+
+    def upto(self, max_len: int) -> tuple[VahlenMatrix, ...]:
+        if len(self.level_ends) <= max_len:
+            seen, shared = set(), {}
+            for m in self.elements:
+                k = _matrix_key(m)
+                seen.add(k)
+                shared.update(zip(k, m.entries()))
+            while len(self.level_ends) <= max_len:
+                new_frontier = []
+                for m in self.frontier:
+                    for g in self.gens:
+                        q = mat_mul(m, g)
+                        k = _matrix_key(q)
+                        if k not in seen:
+                            seen.add(k)
+                            entries = (shared.setdefault(ek, e) for ek, e in zip(k, q.entries()))
+                            new_frontier.append(VahlenMatrix(*entries, word=q.word))
+                self.elements += new_frontier
+                self.frontier = new_frontier
+                self.level_ends.append(len(self.elements))
+        return tuple(self.elements[:self.level_ends[max_len]])
+
+
+_BALLS: dict[tuple[int, int], _GrowingBall] = {}
+
+
 def _gamma_ball(n: int, p: int, max_len: int) -> tuple[VahlenMatrix, ...]:
     """All distinct Gamma_p elements that are generator words of length <= max_len.
 
     Breadth-first over right multiplication, deduplicated on exact
     entries, so each element is reached by a shortest word and the
-    enumeration order is deterministic.
+    enumeration order is deterministic.  One ball per (n, p) grows as
+    larger radii are asked for; a radius whose ball_size_estimate exceeds
+    MAX_BALL_ESTIMATE is refused before any work.
     """
     if max_len < 0:
         raise ValueError("word length bound must be >= 0")
-    gens = gamma_generators(n, p)
-    start = VahlenMatrix.identity(n)
-    seen = {_matrix_key(start)}
-    out = [start]
-    frontier = [start]
-    for _ in range(max_len):
-        new_frontier = []
-        for m in frontier:
-            for g in gens:
-                q = mat_mul(m, g)
-                k = _matrix_key(q)
-                if k not in seen:
-                    seen.add(k)
-                    out.append(q)
-                    new_frontier.append(q)
-        frontier = new_frontier
-    return tuple(out)
+    # the estimate is at least 2^max_len, so a long bound is refused without computing it
+    if max_len >= MAX_BALL_ESTIMATE.bit_length() or ball_size_estimate(p, max_len) > MAX_BALL_ESTIMATE:
+        raise ValueError(f"a word ball of length {max_len} over p = {p} may hold more than the budget "
+                         f"of {MAX_BALL_ESTIMATE} matrices; lower the word length bound")
+    if (n, p) not in _BALLS:
+        _BALLS[n, p] = _GrowingBall(n, p)
+    return _BALLS[n, p].upto(max_len)
 
 
 def _matrix_key(m: VahlenMatrix) -> tuple:

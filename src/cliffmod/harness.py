@@ -21,8 +21,8 @@ from .congruence import (GroupDescriptor, bottom_row_key, contains_neg_identity,
                          enumerate_cosets, gamma_ball, gamma_generators, is_member,
                          same_coset)
 from .kernels import KernelJet, dirac_fd, dirac_power_fd, fd_partial, kernel_multiplicativity_check, q0
-from .series import (EISENSTEIN_KINDS, SeriesSpec, automorphy_residual, coset_norm_sums, evaluate,
-                     odd_weight_eisenstein, scalar_eisenstein, tail_report, zeta_m_table)
+from .series import (EISENSTEIN_KINDS, SeriesSpec, automorphy_residual, coset_counts, coset_norm_sums,
+                     evaluate, odd_weight_eisenstein, scalar_eisenstein, tail_report, zeta_m_table)
 from .vahlen import VahlenMatrix, make_translation, mat_mul, mobius_apply
 
 THRESHOLDS_VERSION = "1"
@@ -84,6 +84,15 @@ class VerificationReport:
         if self.note:
             bits.append(self.note)
         return f"[{verdict}] {self.check}: " + "  ".join(bits)
+
+
+def _require_c_nonzero_coset(group: GroupDescriptor, word_limit: int):
+    """Refuse a truncation of only c = 0 cosets: a series over it is a
+    constant, which says nothing about limits or automorphy."""
+    terms, c0 = coset_counts(group, word_limit)
+    if terms == c0:
+        raise ValueError(f"{group.label} has no coset with c != 0 within word length {word_limit}; "
+                         "raise the word limit")
 
 
 def _threshold(overrides: dict | None, key: str):
@@ -331,7 +340,8 @@ def check_limits(kind: str, n: int, p: int, s: int, t: int | None = None,
                  word_limit: int = 8, t_values=(10, 30, 100),
                  thresholds: dict | None = None) -> VerificationReport:
     """Values at x = e_n * t approach the c = 0 coset count as t grows,
-    with strictly decreasing error."""
+    with strictly decreasing error.  A truncation without a c != 0 coset
+    raises ValueError: its series is the count itself at every t."""
     t0 = time.perf_counter()
     tol = _threshold(thresholds, "limit_final_error")
     if kind not in EISENSTEIN_KINDS:
@@ -341,6 +351,7 @@ def check_limits(kind: str, n: int, p: int, s: int, t: int | None = None,
         variant = "principal" if level else "full"
     group = GroupDescriptor(n, p, variant, level if variant not in ("full", "theta") else None)
     spec = SeriesSpec(kind, group, s=s, t=t, word_limit=word_limit)
+    _require_c_nonzero_coset(group, word_limit)
     errors = []
     target = None
     for tv in t_values:
@@ -402,10 +413,12 @@ def check_automorphy(kind: str, n: int, p: int, s: int, t: int | None = None,
     """Median modular-transformation residual shrinks as the word limit grows.
 
     Meaningful only where the truncated series is not identically zero;
-    the odd-weight kind needs a group without -I (e.g. principal[3])."""
+    the odd-weight kind needs a group without -I (e.g. principal[3]).  A
+    smallest truncation without a c != 0 coset raises ValueError."""
     t0 = time.perf_counter()
     rng = random.Random(seed)
     group = GroupDescriptor(n, p, variant, level)
+    _require_c_nonzero_coset(group, min(word_limits))
     mats = sample_group_elements(rng, group, n_elements, word_limit=4)
     pts = [sample_strip_point(rng, n, xn_range=(0.8, 1.8)) for _ in range(n_points)]
     pts2 = [sample_strip_point(rng, n, xn_range=(0.8, 1.8)) for _ in range(n_points)]

@@ -48,17 +48,23 @@ def q0(x: Multivector, s: int) -> Multivector:
     return Multivector.scalar(n, r ** float(-(n - s)))
 
 
+def kernel_scale(r: float, s: int, n: int) -> float:
+    """r^{-(n+1-s)} for odd s, r^{-(n-s)} for even s: the size factor of the
+    kernel at an argument of norm r.  Refuses r = 0, an infinite or NaN r,
+    and a power that overflows, with ValueError."""
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"kernel needs a nonzero finite argument, got |a| = {r}")
+    try:
+        return r ** float(-(n + 1 - s) if s % 2 else -(n - s))
+    except OverflowError:
+        raise ValueError(f"kernel overflows at |a| = {r:.3e}") from None
+
+
 def q0_general(a: Multivector, s: int) -> Multivector:
     """Kernel on products of nonzero vectors (caller-asserted), via reversion."""
     n = a.dim
     _check_weight(s, n)
-    r = a.norm()
-    if not 0.0 < r < math.inf:
-        raise ValueError(f"q0_general needs a nonzero finite argument, got |a| = {r}")
-    try:
-        scale = r ** float(-(n + 1 - s) if s % 2 else -(n - s))
-    except OverflowError:
-        raise ValueError(f"q0_general overflows at |a| = {r:.3e}") from None
+    scale = kernel_scale(a.norm(), s, n)
     if s % 2:
         return a.reverse().to_float() * scale
     return Multivector.scalar(n, scale)

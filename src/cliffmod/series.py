@@ -18,6 +18,13 @@ the two-sided ("biregular") series.  The Eisenstein kinds have f~ = 1;
 the vector series has f~ = G_m(. + e_n); a "poincare" spec takes the
 caller's f~ through `poincare_general`.  `evaluate` is the entry point.
 
+The cosets of each (group, L) are enumerated once into a cached table.
+For c != 0 the Vahlen conditions make v = c^{-1} d a vector, so
+c x + d = c (x + v) and |c x + d| = |c| |x + v|; the f~ = 1 summands
+are summed in that closed form.  `_factors` stays the one definition of
+the automorphy factors: it serves the c = 0 rows, the kinds with
+f~ != 1 and `automorphy_residual`, and is the oracle of the closed forms.
+
 Weights must satisfy the convergence constraint p < n - 1 - s (scalar /
 one-sided series, with s the kernel weight) or p < min(n, 2n - 2 - s - t)
 for the two-sided series; SeriesSpec enforces this at construction, and
@@ -28,12 +35,15 @@ the constraint comes from (convergence abscissa alpha = p + 1).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
 
 from .clifford import Multivector
 from .congruence import (CosetRep, GroupDescriptor, contains_neg_identity,
                          enumerate_cosets, translation_lattice)
-from .kernels import KernelJet, left_factor, q0_general
+from .kernels import KernelJet, kernel_scale, left_factor, q0_general
 from .vahlen import mobius_apply
 
 # f~ = 1: the large-x_n limit of these is the count of c = 0 cosets
@@ -86,6 +96,7 @@ class SeriesSpec:
             if self.m is None:
                 raise ValueError("vector series needs a derivative multi-index m")
             _check_multi_index(self.m, n, minimum=3)
+            _require_box_budget(n, self.box_radius)
         elif self.m is not None:
             raise ValueError(f"{self.kind} series takes no multi-index")
 
@@ -122,9 +133,21 @@ class SeriesResult:
 
 # ---- pure lattice series ----------------------------------------------------
 
+# Lattice boxes of more points than this are refused before any work (each
+# point costs one kernel jet).  It admits radius 2 in up to six variables
+# and radius 8 in three (the zeta sums of criterion 10 at n = 4).
+MAX_BOX_POINTS = 20_000
+
+
+def _require_box_budget(dim: int, radius: int):
+    if (2 * radius + 1) ** dim > MAX_BOX_POINTS:
+        raise ValueError(f"a box of radius {radius} in {dim} variables has more than the budget "
+                         f"of {MAX_BOX_POINTS} lattice points; lower the box radius")
+
 
 def _box_points(dim: int, radius: int, include_zero: bool):
     """Z^dim points with sup norm <= radius, a symmetric exhaustion."""
+    _require_box_budget(dim, radius)
     ranges = [range(-radius, radius + 1)] * dim
     out = [()]
     for r in ranges:
@@ -186,12 +209,14 @@ def lattice_G_m(x: Multivector, m, box_radius: int = 4) -> Multivector:
     _check_multi_index(m, n, minimum=3)
     if not x.is_vector() or not float(x.component(n)) > 0:
         raise ValueError("lattice_G_m needs a vector with positive last component")
+    _require_box_budget(n, box_radius)
     xf = x.to_float()
     order = sum(m)
     total = Multivector.zero(n)
     zero_shift = (0,) * (n - 1)
+    box = _box_points(n - 1, box_radius, include_zero=True)
     for alpha in range(-box_radius, box_radius + 1):
-        for pt in _box_points(n - 1, box_radius, include_zero=True):
+        for pt in box:
             if alpha == 0 and pt == zero_shift:
                 continue
             arg = xf * float(alpha) + Multivector.vector(list(pt) + [0]).to_float()
@@ -223,20 +248,72 @@ def series_cosets(group: GroupDescriptor, word_limit: int) -> list[CosetRep]:
     return [rep for rep in reps if _negated_key(rep.key) in keys]
 
 
-def _level_walk(group: GroupDescriptor, word_limit: int, term, total):
-    """Add term(rep) to total over the series cosets, level by level
-    (height-sorted within a level); returns the representatives and the
-    running total after each level."""
-    reps = series_cosets(group, word_limit)
-    by_level: dict[int, list[CosetRep]] = {}
-    for rep in reps:
-        by_level.setdefault(rep.word_length, []).append(rep)
-    partials = []
-    for level in range(word_limit + 1):
-        for rep in by_level.get(level, ()):
-            total = total + term(rep)
+@dataclass(frozen=True, slots=True)
+class _CosetRow:
+    """One coset of a series table: its representative and, for c != 0, what
+    the closed-form summands need: |c|, float rev(c) and the shift
+    v = c^{-1} d, a vector, so that c x + d = c (x + v).  To keep tables
+    small no float matrix is stored: the c = 0 rows and the f~ != 1 kinds
+    convert the exact one per term."""
+
+    rep: CosetRep
+    c_norm: float = 0.0
+    rev_c: Multivector | None = None
+    shift: tuple[float, ...] | None = None  # None on c = 0 rows
+
+
+@dataclass(frozen=True, slots=True)
+class _CosetTable:
+    """The series cosets of one (group, L), level by level and height-sorted
+    within a level; rows[:level_ends[k]] are those of word length <= k."""
+
+    rows: tuple[_CosetRow, ...]
+    level_ends: tuple[int, ...]
+    c0: int
+
+
+def _coset_row(rep: CosetRep) -> _CosetRow:
+    """The table row of one representative.  The closed forms rest on two
+    Vahlen facts, checked exactly: conj(c) c = |c|^2 and c^{-1} d is a vector."""
+    m = rep.matrix
+    if rep.is_c_zero():
+        return _CosetRow(rep)
+    c_sq = m.c.norm_sq()
+    if m.c.conjugate() * m.c != Multivector.scalar(m.dim, c_sq):
+        raise ValueError(f"coset row with c = {m.c} breaks conj(c) c = |c|^2")
+    shift = m.c.conjugate() * m.d / Fraction(c_sq)
+    if not shift.is_vector():
+        raise ValueError(f"coset row with c^-1 d = {shift} is not a Vahlen bottom row")
+    return _CosetRow(rep, math.sqrt(c_sq), m.c.reverse().to_float(),
+                     tuple(float(v) for v in shift.vector_components()))
+
+
+@lru_cache(maxsize=None)
+def _coset_table(group: GroupDescriptor, word_limit: int) -> _CosetTable:
+    """The one table per (group, L) that every coset series and coset_norm_sums walk."""
+    reps = sorted(series_cosets(group, word_limit), key=lambda rep: rep.word_length)  # stable
+    lengths = [rep.word_length for rep in reps]
+    return _CosetTable(rows=tuple(_coset_row(rep) for rep in reps),
+                       level_ends=tuple(bisect_right(lengths, k) for k in range(word_limit + 1)),
+                       c0=sum(1 for rep in reps if rep.is_c_zero()))
+
+
+def coset_counts(group: GroupDescriptor, word_limit: int) -> tuple[int, int]:
+    """(terms, c = 0 cosets) of the truncation a coset series sums over."""
+    table = _coset_table(group, word_limit)
+    return len(table.rows), table.c0
+
+
+def _level_walk(table: _CosetTable, term, total) -> list:
+    """Add term(row) to total over the table; returns the running total
+    after each word-length level."""
+    partials, start = [], 0
+    for level, end in enumerate(table.level_ends):
+        for row in table.rows[start:end]:
+            total = total + term(row)
         partials.append((level, total))
-    return reps, partials
+        start = end
+    return partials
 
 
 def _require_half_space(x: Multivector):
@@ -276,19 +353,45 @@ def _sandwich(left: Multivector, middle, right):
     return out if right is None else out * right
 
 
+def _shifted(row: _CosetRow, x: list, s: int, n: int) -> tuple[list, float]:
+    """The coordinates of x + v and the kernel size factor at |c x + d| = |c| |x + v|."""
+    w = [a + b for a, b in zip(x, row.shift)]
+    return w, kernel_scale(row.c_norm * math.sqrt(sum(a * a for a in w)), s, n)
+
+
+def _closed_term(spec: SeriesSpec, row: _CosetRow, x: list, y: list | None) -> Multivector:
+    """The f~ = 1 summand L R at a c != 0 row, from c x + d = c (x + v), with
+    r_x = |c| |x + v| (x and y are coordinate lists):
+    scalar r_x^{s-n}; odd weight (x + v) rev(c) r_x^{-(n+1-s)};
+    two-sided -(x + v)(y + v) |c|^2 r_x^{-(n+1-s)} r_y^{-(n+1-t)}."""
+    n = spec.group.n
+    wx, sx = _shifted(row, x, spec.s, n)
+    if y is not None:
+        wy, sy = _shifted(row, y, spec.t, n)
+        return Multivector.vector(wx) * Multivector.vector(wy) * (-row.c_norm * row.c_norm * sx * sy)
+    if spec.s % 2:
+        return Multivector.vector(wx) * row.rev_c * sx
+    return Multivector.scalar(n, sx)
+
+
 def _coset_series(spec: SeriesSpec, f_tilde, x: Multivector, y: Multivector | None = None) -> SeriesResult:
     """The one driver: sum L f~(M<x>) R over the cosets; f~ None means 1."""
     xf, yf = _float_points(spec, x, y)
+    xs = xf.vector_components()
+    ys = None if yf is None else yf.vector_components()
+    table = _coset_table(spec.group, spec.word_limit)
 
-    def term(rep: CosetRep) -> Multivector:
-        mf = rep.matrix.to_float()
+    def term(row: _CosetRow) -> Multivector:
+        if f_tilde is None and row.shift is not None:
+            return _closed_term(spec, row, xs, ys)
+        mf = row.rep.matrix.to_float()
         left, right = _factors(spec, mf, xf, yf)
         middle = None if f_tilde is None else f_tilde(mobius_apply(mf, xf))
         return _sandwich(left, middle, right)
 
-    reps, partials = _level_walk(spec.group, spec.word_limit, term, Multivector.zero(spec.group.n))
-    c0 = sum(1 for rep in reps if rep.is_c_zero())
-    return SeriesResult(value=partials[-1][1], partial_sums=partials, coset_count_c0=c0, n_terms=len(reps))
+    partials = _level_walk(table, term, Multivector.zero(spec.group.n))
+    return SeriesResult(value=partials[-1][1], partial_sums=partials, coset_count_c0=table.c0,
+                        n_terms=len(table.rows))
 
 
 def evaluate(spec: SeriesSpec, x: Multivector, y: Multivector | None = None) -> SeriesResult:
@@ -383,7 +486,7 @@ def coset_norm_sums(group: GroupDescriptor, alpha: float, word_limit: int) -> li
     it has abscissa alpha = p + 1 (diverges at and below, converges
     above, in the full-group limit).
     """
-    return _level_walk(group, word_limit, lambda rep: rep.height ** (-alpha), 0.0)[1]
+    return _level_walk(_coset_table(group, word_limit), lambda row: row.rep.height ** (-alpha), 0.0)
 
 
 def tail_report(result_or_partials) -> dict:

@@ -25,7 +25,7 @@ class GradedResidueError(ArithmeticError):
     """Moebius image failed to collapse to grade 1 within tolerance."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VahlenMatrix:
     """2x2 matrix over Cl_n with optional generator-word provenance."""
 

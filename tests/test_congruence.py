@@ -8,9 +8,10 @@ from fractions import Fraction
 import pytest
 
 from cliffmod.clifford import Multivector
-from cliffmod.congruence import (GroupDescriptor, bottom_row_key, contains_neg_identity,
-                                 enumerate_cosets, gamma_ball, gamma_generators, in_order,
-                                 is_member, is_translation, same_coset, translation_lattice)
+from cliffmod.congruence import (MAX_BALL_ESTIMATE, GroupDescriptor, ball_size_estimate,
+                                 bottom_row_key, contains_neg_identity, enumerate_cosets, gamma_ball,
+                                 gamma_generators, in_order, is_member, is_translation, same_coset,
+                                 translation_lattice)
 from cliffmod.vahlen import VahlenMatrix, make_inversion, make_rotation, make_translation, mat_mul
 
 
@@ -134,6 +135,30 @@ def test_ball_growth_and_determinism():
     for m in b4:
         assert len(m.word) <= 4
         assert is_member(m, GroupDescriptor.full(4, 1))
+
+
+def test_ball_is_a_prefix_of_every_larger_ball():
+    big = gamma_ball(5, 1, 10)
+    sizes = {L: len(gamma_ball(5, 1, L)) for L in (6, 8, 10)}
+    assert sizes == {6: 220, 8: 678, 10: 1930}
+    for L in (0, 6, 8):
+        small = gamma_ball(5, 1, L)
+        assert [m.word for m in small] == [m.word for m in big[:len(small)]]
+        assert all(a.entries_equal(b) for a, b in zip(small, big))
+    assert len(enumerate_cosets(GroupDescriptor.theta(5, 1), 10)) == 144
+
+
+def test_ball_budget_is_checked_before_any_work():
+    assert ball_size_estimate(1, 10) == 3070 and ball_size_estimate(2, 5) == 1706
+    assert max(ball_size_estimate(1, 10), ball_size_estimate(2, 5)) <= MAX_BALL_ESTIMATE
+    assert ball_size_estimate(1, 11) > MAX_BALL_ESTIMATE and ball_size_estimate(2, 6) > MAX_BALL_ESTIMATE
+    assert len(gamma_ball(4, 1, 10)) <= ball_size_estimate(1, 10)
+    assert len(gamma_ball(4, 2, 4)) <= ball_size_estimate(2, 4)
+    for n, p, L in ((5, 1, 11), (5, 2, 6), (5, 1, 30), (12, 11, 10 ** 6)):
+        with pytest.raises(ValueError, match="budget"):
+            gamma_ball(n, p, L)
+    with pytest.raises(ValueError, match="budget"):
+        enumerate_cosets(GroupDescriptor.full(5, 1), 30)
 
 
 def test_coset_counts_and_structure():

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -10,7 +11,7 @@ from cliffmod.cli import main
 from cliffmod.clifford import Multivector
 from cliffmod.congruence import GroupDescriptor, enumerate_cosets
 from cliffmod.harness import (CHECK_BUILDERS, DEFAULT_THRESHOLDS, THRESHOLDS_VERSION,
-                              VerificationReport, run_checks)
+                              VerificationReport, check_automorphy, check_limits, run_checks)
 from cliffmod.series import SeriesSpec, scalar_eisenstein
 
 
@@ -50,6 +51,15 @@ def test_report_shape():
                                    "polymono", "zeta", "abscissa"}
     assert THRESHOLDS_VERSION == "1"
     assert set(DEFAULT_THRESHOLDS)  # nonempty tolerance table
+
+
+def test_checks_refuse_a_truncation_of_only_c_zero_cosets():
+    # odd weight over principal[3] at n = 4 has only the identity coset below L = 8
+    with pytest.raises(ValueError, match="word length 6; raise the word limit"):
+        check_limits("oddweight", 4, 1, 1, level=3, word_limit=6)
+    with pytest.raises(ValueError, match="word length 4; raise the word limit"):
+        check_automorphy("oddweight", 4, 1, 1, variant="principal", level=3, word_limits=(4, 6))
+    assert check_limits("oddweight", 4, 1, 1, level=3, word_limit=8).passed
 
 
 # ---- cli: cosets ---------------------------------------------------------------
@@ -239,3 +249,27 @@ def test_cli_eval_bad_point_is_usage_error(tmp_path, capsys, point):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert _one_error_line(captured.err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cosets", "--n", "5", "--p", "1", "--maxlen", "30"],
+    ["cosets", "--n", "8", "--p", "2", "--maxlen", "12"],
+    ["eval", "--n", "5", "--maxlen", "40"],
+    ["eval", "--n", "4", "--series", "vector", "--s", "1", "--m", "0,0,0,3", "--maxlen", "2",
+     "--box", "100"],
+])
+def test_cli_over_budget_request_is_a_quick_usage_error(capsys, argv):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_error_line(captured.err) and "budget" in captured.err
+
+
+def test_cli_limits_without_c_nonzero_coset_is_usage_error(capsys):
+    assert main(["limits", "--n", "4", "--p", "1", "--series", "oddweight", "--s", "1",
+                 "--group", "principal", "--level", "3", "--maxlen", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_error_line(captured.err) and "raise the word limit" in captured.err

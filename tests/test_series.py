@@ -2,6 +2,7 @@
 oracles, coset sums against explicit loops, signed cancellation, and the
 convergence diagnostics."""
 
+import dataclasses
 import math
 import random
 
@@ -11,12 +12,13 @@ from cliffmod.clifford import Multivector
 from cliffmod.congruence import GroupDescriptor, contains_neg_identity, enumerate_cosets
 from cliffmod.harness import DEFAULT_THRESHOLDS
 from cliffmod.kernels import dirac_power_fd, fd_partial, q0, q0_general, left_factor
-from cliffmod.series import (SeriesResult, SeriesSpec, abscissa_diagnostic, biregular_eisenstein,
-                             coset_norm_sums, epsilon_m, evaluate, lattice_G_m, odd_weight_eisenstein,
-                             poincare_general, scalar_eisenstein, series_cosets, tail_report,
-                             translation_invariance_residual, vector_eisenstein, zeta_m,
-                             zeta_m_table)
-from cliffmod.vahlen import mobius_apply
+from cliffmod.series import (MAX_BOX_POINTS, SeriesResult, SeriesSpec, _closed_term, _coset_row,
+                             _coset_table, _factors, _sandwich, abscissa_diagnostic,
+                             biregular_eisenstein, coset_counts, coset_norm_sums, epsilon_m, evaluate,
+                             lattice_G_m, odd_weight_eisenstein, poincare_general, scalar_eisenstein,
+                             series_cosets, tail_report, translation_invariance_residual,
+                             vector_eisenstein, zeta_m, zeta_m_table)
+from cliffmod.vahlen import VahlenMatrix, mobius_apply
 
 from conftest import median_halving_ratio
 
@@ -151,6 +153,87 @@ def test_series_cosets_without_neg_identity_is_plain_enumeration():
     g = GroupDescriptor.principal(4, 1, 3)
     assert not contains_neg_identity(g)
     assert series_cosets(g, 6) == enumerate_cosets(g, 6)
+
+
+# ---- coset tables --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", [
+    SeriesSpec("scalar", FULL51, 2, word_limit=10),
+    SeriesSpec("scalar", GroupDescriptor.theta(5, 1), 2, word_limit=10),
+    SeriesSpec("biregular", FULL41, 1, t=1, word_limit=8),
+    SeriesSpec("oddweight", GroupDescriptor.principal(4, 1, 3), 1, word_limit=8),
+], ids=lambda spec: f"{spec.kind}-{spec.group.variant}-L{spec.word_limit}")
+def test_closed_form_summand_equals_factor_sandwich(spec):
+    """Every c != 0 row: |c| |x + v| closed form against L R from `_factors`."""
+    rng = random.Random(3)
+    n = spec.group.n
+    rows = [row for row in _coset_table(spec.group, spec.word_limit).rows if row.shift is not None]
+    assert rows
+    for _ in range(3):
+        xf, yf = (Multivector.vector([rng.uniform(-1.0, 1.0) for _ in range(n - 1)]
+                                     + [rng.uniform(0.5, 2.0)]) for _ in range(2))
+        if not spec.two_sided:
+            yf = None
+        for row in rows:
+            got = _closed_term(spec, row, xf.vector_components(),
+                               None if yf is None else yf.vector_components())
+            left, right = _factors(spec, row.rep.matrix.to_float(), xf, yf)
+            want = _sandwich(left, None, right)
+            assert (got - want).norm() <= 1e-14 * want.norm()
+
+
+def test_coset_table_equals_fresh_enumeration():
+    for group, word_limit in ((FULL51, 10), (GroupDescriptor.theta(5, 1), 10),
+                              (GroupDescriptor.principal(4, 1, 3), 8), (FULL41, 0)):
+        table = _coset_table(group, word_limit)
+        fresh = sorted(series_cosets(group, word_limit), key=lambda rep: rep.word_length)
+        assert [row.rep for row in table.rows] == fresh
+        assert table.level_ends == tuple(sum(rep.word_length <= k for rep in fresh)
+                                         for k in range(word_limit + 1))
+        assert coset_counts(group, word_limit) == (len(fresh), sum(rep.is_c_zero() for rep in fresh))
+
+
+def test_coset_table_is_shared_and_immutable():
+    table = _coset_table(FULL41, 6)
+    assert _coset_table(FULL41, 6) is table
+    row = table.rows[-1]
+    with pytest.raises(TypeError):
+        table.rows[0] = row
+    with pytest.raises(AttributeError):
+        table.rows.append(row)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.c0 = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.shift = (0.0,) * 4
+    assert isinstance(row.shift, tuple) and isinstance(table.level_ends, tuple)
+
+
+def test_coset_row_refuses_a_bottom_row_that_is_not_vahlen():
+    """Negative control for the exact checks the closed forms rest on."""
+    row = next(row for row in _coset_table(FULL41, 4).rows if row.shift is not None)
+    assert _coset_row(row.rep) == row
+    m = row.rep.matrix
+    # d + c e12 makes c^{-1} d = v + e12, which is not a vector
+    doctored = VahlenMatrix(m.a, m.b, m.c, m.d + m.c * Multivector.blade(4, (1, 2)))
+    with pytest.raises(ValueError, match="not a Vahlen bottom row"):
+        _coset_row(dataclasses.replace(row.rep, matrix=doctored))
+    # c = 1 + e1 + e23 has conj(c) c = 3 - 2 e123, not |c|^2 = 3
+    c = Multivector.from_string(4, "1 + e1 + e23")
+    doctored = VahlenMatrix(m.a, m.b, c, m.d)
+    with pytest.raises(ValueError, match="conj"):
+        _coset_row(dataclasses.replace(row.rep, matrix=doctored))
+
+
+def test_lattice_boxes_over_budget_are_refused():
+    assert 9 ** 4 <= MAX_BOX_POINTS < 17 ** 4
+    x = Multivector.vector([0.0, 0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="budget"):
+        lattice_G_m(x, (0, 0, 0, 3), box_radius=8)
+    with pytest.raises(ValueError, match="budget"):
+        zeta_m((0, 0, 0, 3), 4, 10 ** 6)
+    with pytest.raises(ValueError, match="budget"):
+        SeriesSpec("vector", FULL41, 1, m=(0, 0, 0, 3), box_radius=8)
 
 
 # ---- coset series ------------------------------------------------------------
