@@ -21,6 +21,7 @@ coset of T(Lambda)\\Lambda exactly when their bottom rows agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .clifford import Multivector
 from .vahlen import VahlenMatrix, make_inversion, make_translation, mat_inv, mat_mul
@@ -161,11 +162,16 @@ def _congruence_conditions(m: VahlenMatrix, group: GroupDescriptor) -> bool:
     if variant == "lower0":
         return in_order(m.c, p, level)
     # theta: principal[2] or principal[2] * J
-    pr2 = GroupDescriptor.principal(group.n, p, 2)
+    pr2, j_inv = _theta_parts(group.n, p)
     if _congruence_conditions(m, pr2):
         return True
-    j_inv = mat_inv(make_inversion(group.n))
     return _congruence_conditions(mat_mul(m, j_inv), pr2)
+
+
+@lru_cache(maxsize=None)
+def _theta_parts(n: int, p: int) -> tuple[GroupDescriptor, VahlenMatrix]:
+    """principal[2] and J^{-1}, built once per (n, p) for the theta test."""
+    return GroupDescriptor.principal(n, p, 2), mat_inv(make_inversion(n))
 
 
 # ---- translation lattices ---------------------------------------------------

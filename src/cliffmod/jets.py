@@ -6,12 +6,33 @@ Sums, products and real powers of jets then yield exact derivative
 values of composite expressions, with no step-size error; this is what
 the kernel derivative tables are built from (finite differences serve
 only as an independent cross-check).
+
+Layout.  A jet keeps its coefficients in one flat list, ordered like
+`multi_indices_upto(nvars, order)`: by total degree, and within a degree
+in the stars-and-bars order of `multi_indices`.  Everything that depends
+only on the shape (nvars, order) lives in one cached `_Shape` per shape:
+the multi-index of each position and its inverse map, the factorial
+products m!, and the product-pair table.  Row i of that table lists,
+for every position j with |m_i| + |m_j| <= order, the position of
+m_i + m_j.  Because the order is graded, those j are a prefix of the
+layout, so a row is a tuple indexed by j.  A product of two jets
+walks only those admissible pairs and skips zero coefficients; it builds
+no tuples (indexed Taylor-mode arithmetic, Griewank & Walther,
+*Evaluating Derivatives*, ch. 13).
+
+The pair table of a shape holds C(2 nvars + order, order) entries (one
+per pair of multi-indices whose degrees add up to at most the order),
+the multi-index list nvars C(nvars + order, order).  Shapes where either
+exceeds `MAX_JET_TABLE` are refused with ValueError before anything is
+built.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 
 
 def multi_indices(nvars: int, total: int) -> list[tuple[int, ...]]:
@@ -43,65 +64,150 @@ def factorial_prod(m: tuple[int, ...]) -> int:
     return out
 
 
-class Jet:
-    """Taylor coefficients of one scalar function, truncated at `order`."""
+# Shapes whose tables hold more entries than this are refused before any
+# work.  It admits order 3 in up to 21 variables, order 5 in up to nine,
+# order 7 in up to five and order 10 in four; the largest shape the repo
+# uses is order 7 in four variables (6435 entries).
+MAX_JET_TABLE = 50_000
 
-    __slots__ = ("nvars", "order", "terms")
 
-    def __init__(self, nvars: int, order: int, terms: dict | None = None):
-        if nvars < 1 or order < 0:
-            raise ValueError("need nvars >= 1 and order >= 0")
+def _table_size(nvars: int, order: int) -> int:
+    """Entries of a (nvars, order) shape's tables: the larger of its pair
+    table, C(2 nvars + order, order), and its multi-index list,
+    nvars C(nvars + order, order)."""
+    return max(math.comb(2 * nvars + order, order), nvars * math.comb(nvars + order, order))
+
+
+def require_jet_budget(nvars: int, order: int):
+    """Refuse a jet shape that is invalid or over `MAX_JET_TABLE`."""
+    if nvars < 1 or order < 0:
+        raise ValueError("need nvars >= 1 and order >= 0")
+    # the table size is at least nvars + order, so a larger sum needs no binomials
+    if nvars + order > MAX_JET_TABLE or _table_size(nvars, order) > MAX_JET_TABLE:
+        raise ValueError(f"a jet of order {order} in {nvars} variables needs more than the "
+                         f"budget of {MAX_JET_TABLE} table entries; lower the order")
+
+
+class _Shape:
+    """The flat layout of one (nvars, order) and its product-pair table."""
+
+    __slots__ = ("nvars", "order", "size", "indices", "position", "factorials", "pairs",
+                 "units", "squares")
+
+    def __init__(self, nvars: int, order: int):
         self.nvars = nvars
         self.order = order
-        self.terms = {} if terms is None else terms
+        self.indices = tuple(multi_indices_upto(nvars, order))
+        self.size = len(self.indices)
+        self.position = position = {m: i for i, m in enumerate(self.indices)}
+        self.factorials = tuple(float(factorial_prod(m)) for m in self.indices)
+        # positions with degree <= k are the prefix of length upto[k]
+        upto = [math.comb(nvars + k, k) for k in range(order + 1)]
+        self.pairs = tuple(
+            tuple(position[tuple(x + y for x, y in zip(mi, mj))]
+                  for mj in self.indices[:upto[order - sum(mi)]])
+            for mi in self.indices
+        )
+        # positions of e_i and of 2 e_i, where the order admits them
+        eye = [tuple(int(j == i) for j in range(nvars)) for i in range(nvars)] if order else []
+        self.units = tuple(position[e] for e in eye)
+        self.squares = tuple(position[tuple(2 * k for k in e)] for e in eye) if order >= 2 else ()
+
+
+@lru_cache(maxsize=None)
+def _shape(nvars: int, order: int) -> _Shape:
+    """The one shared `_Shape` of (nvars, order); a refused shape is not cached."""
+    require_jet_budget(nvars, order)
+    return _Shape(nvars, order)
+
+
+class Jet:
+    """Taylor coefficients of one scalar function, truncated at `order`.
+
+    `coeffs` is the flat coefficient list over the shape's layout; `terms`
+    is a read-only view of the nonzero ones keyed by multi-index.
+    """
+
+    __slots__ = ("_shape", "coeffs")
+
+    def __init__(self, nvars: int, order: int, terms=None):
+        """A jet from a mapping of multi-indices (|m| <= order) to coefficients."""
+        self._shape = shape = _shape(nvars, order)
+        self.coeffs = [0.0] * shape.size
+        for m, c in (terms or {}).items():
+            i = shape.position.get(tuple(m))
+            if i is None:
+                raise ValueError(f"multi-index {m} does not fit a jet of order {order} "
+                                 f"in {nvars} variables")
+            self.coeffs[i] = float(c)
+
+    @classmethod
+    def _from_coeffs(cls, shape: _Shape, coeffs: list) -> "Jet":
+        jet = cls.__new__(cls)
+        jet._shape = shape
+        jet.coeffs = coeffs
+        return jet
+
+    @property
+    def nvars(self) -> int:
+        return self._shape.nvars
+
+    @property
+    def order(self) -> int:
+        return self._shape.order
+
+    @property
+    def terms(self):
+        return MappingProxyType({m: c for m, c in zip(self._shape.indices, self.coeffs) if c})
 
     @classmethod
     def constant(cls, nvars: int, order: int, value: float) -> "Jet":
-        return cls(nvars, order, {(0,) * nvars: float(value)} if value else {})
+        shape = _shape(nvars, order)
+        return cls._from_coeffs(shape, [float(value)] + [0.0] * (shape.size - 1))
 
     @classmethod
     def variable(cls, nvars: int, order: int, i: int, value: float) -> "Jet":
         """The coordinate function x_i (0-based) expanded at x_i = value."""
         if not 0 <= i < nvars:
             raise ValueError(f"variable index {i} out of range")
-        terms = {}
-        if value:
-            terms[(0,) * nvars] = float(value)
-        if order >= 1:
-            unit = tuple(1 if j == i else 0 for j in range(nvars))
-            terms[unit] = 1.0
-        return cls(nvars, order, terms)
+        jet = cls.constant(nvars, order, value)
+        for k in jet._shape.units[i:i + 1]:
+            jet.coeffs[k] = 1.0
+        return jet
 
     def _check(self, other: "Jet"):
-        if self.nvars != other.nvars or self.order != other.order:
+        if self._shape is not other._shape:
             raise ValueError("jet shape mismatch")
 
     def value(self) -> float:
-        return self.terms.get((0,) * self.nvars, 0.0)
+        return self.coeffs[0]
 
     def derivative(self, m: tuple[int, ...]) -> float:
         """(d^m f)(x0): Taylor coefficient rescaled by m!."""
-        if len(m) != self.nvars:
+        shape = self._shape
+        if len(m) != shape.nvars:
             raise ValueError("multi-index length mismatch")
-        if sum(m) > self.order:
-            raise ValueError(f"derivative order {sum(m)} exceeds jet order {self.order}")
-        return self.terms.get(tuple(m), 0.0) * factorial_prod(tuple(m))
+        if sum(m) > shape.order:
+            raise ValueError(f"derivative order {sum(m)} exceeds jet order {shape.order}")
+        i = shape.position.get(tuple(m))
+        if i is None:
+            raise ValueError(f"{m} is not a multi-index")
+        return self.coeffs[i] * shape.factorials[i]
 
     def __add__(self, other):
         if isinstance(other, Jet):
             self._check(other)
-            out = dict(self.terms)
-            for m, c in other.terms.items():
-                out[m] = out.get(m, 0.0) + c
-            return Jet(self.nvars, self.order, out)
+            return Jet._from_coeffs(self._shape, [a + b for a, b in zip(self.coeffs, other.coeffs)])
         if isinstance(other, (int, float)):
-            return self + Jet.constant(self.nvars, self.order, other)
+            out = list(self.coeffs)
+            out[0] += float(other)
+            return Jet._from_coeffs(self._shape, out)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.nvars, self.order, {m: -c for m, c in self.terms.items()})
+        return Jet._from_coeffs(self._shape, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         if isinstance(other, (Jet, int, float)):
@@ -114,19 +220,19 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             self._check(other)
-            out: dict[tuple[int, ...], float] = {}
-            order = self.order
-            for ma, ca in self.terms.items():
-                da = sum(ma)
-                for mb, cb in other.terms.items():
-                    if da + sum(mb) > order:
-                        continue
-                    m = tuple(x + y for x, y in zip(ma, mb))
-                    out[m] = out.get(m, 0.0) + ca * cb
-            return Jet(self.nvars, self.order, out)
+            shape = self._shape
+            b = other.coeffs
+            out = [0.0] * shape.size
+            for ca, row in zip(self.coeffs, shape.pairs):
+                if ca:
+                    # zip stops at the row's end: the pairs within the order
+                    for k, cb in zip(row, b):
+                        if cb:
+                            out[k] += ca * cb
+            return Jet._from_coeffs(shape, out)
         if isinstance(other, (int, float)):
             k = float(other)
-            return Jet(self.nvars, self.order, {m: c * k for m, c in self.terms.items()})
+            return Jet._from_coeffs(self._shape, [c * k for c in self.coeffs])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -140,15 +246,19 @@ class Jet:
         u0 = self.value()
         if u0 <= 0.0:
             raise ValueError("jet power needs a positive value at the base point")
-        w = (self - u0) * (1.0 / u0)
-        out = Jet.constant(self.nvars, self.order, 1.0)
-        acc = Jet.constant(self.nvars, self.order, 1.0)
+        shape = self._shape
+        inv = 1.0 / u0
+        w = Jet._from_coeffs(shape, [0.0] + [c * inv for c in self.coeffs[1:]])
+        out = [1.0] + [0.0] * (shape.size - 1)
+        acc = w
         coeff = 1.0
-        for k in range(1, self.order + 1):
+        for k in range(1, shape.order + 1):
             coeff *= (exponent - (k - 1)) / k
-            acc = acc * w
-            out = out + acc * coeff
-        return out * (u0 ** exponent)
+            if k > 1:
+                acc = acc * w
+            out = [o + coeff * a for o, a in zip(out, acc.coeffs)]
+        scale = u0 ** exponent
+        return Jet._from_coeffs(shape, [c * scale for c in out])
 
 
 def jet_lift(point, order: int) -> list[Jet]:
@@ -156,3 +266,15 @@ def jet_lift(point, order: int) -> list[Jet]:
     comps = [float(c) for c in point]
     n = len(comps)
     return [Jet.variable(n, order, i, comps[i]) for i in range(n)]
+
+
+def jet_norm_sq(point, order: int) -> Jet:
+    """The jet of |x|^2 at a point, from its closed form: |x0|^2, then
+    2 x0_i on each e_i and 1 on each 2 e_i (truncated at the order)."""
+    comps = [float(c) for c in point]
+    out = Jet.constant(len(comps), order, sum(c * c for c in comps))
+    for k, c in zip(out._shape.units, comps):
+        out.coeffs[k] = 2.0 * c
+    for k in out._shape.squares:
+        out.coeffs[k] = 1.0
+    return out

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 
 from .clifford import Multivector
-from .jets import jet_lift
+from .jets import jet_lift, jet_norm_sq
 
 _DEFAULT_MAX_ORDER = 6
 
@@ -84,9 +84,10 @@ def kernel_multiplicativity_check(a: Multivector, b: Multivector, s: int) -> flo
 class KernelJet:
     """All partial derivatives q_m at one point, up to a fixed total order.
 
-    Builds the jet of |x|^{-beta} once; every q_m with |m| <= order is
-    then a dictionary lookup.  Much cheaper than one finite-difference
-    stencil per multi-index when whole derivative tables are needed.
+    Builds the jet of |x|^{-beta} once, from the closed-form jet of |x|^2;
+    every q_m with |m| <= order is then a coefficient lookup.  Much cheaper
+    than one finite-difference stencil per multi-index when whole
+    derivative tables are needed.
     """
 
     def __init__(self, x: Multivector, s: int, order: int):
@@ -99,12 +100,10 @@ class KernelJet:
         self.dim = n
         self.s = s
         self.order = order
-        coords = jet_lift(x.vector_components(), order)
-        r_sq = None
-        for c in coords:
-            sq = c * c
-            r_sq = sq if r_sq is None else r_sq + sq
+        point = x.vector_components()
+        r_sq = jet_norm_sq(point, order)
         if s % 2:
+            coords = jet_lift(point, order)
             g = r_sq.power(-(n + 1 - s) / 2.0)
             self._components = [c * g for c in coords]
         else:

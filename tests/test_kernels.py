@@ -1,13 +1,17 @@
 """Kernels and jets: base kernel identities, multiplicativity, monogenicity
 against finite differences, and exactness of the truncated Taylor machinery."""
 
+import inspect
 import math
 import random
+import time
 
 import pytest
 
 from cliffmod.clifford import Multivector
-from cliffmod.jets import Jet, factorial_prod, jet_lift, multi_indices, multi_indices_upto
+from cliffmod.harness import check_jet_vs_fd
+from cliffmod.jets import (Jet, factorial_prod, jet_lift, jet_norm_sq, multi_indices, multi_indices_upto,
+                           require_jet_budget)
 from cliffmod.kernels import (KernelJet, dirac_fd, dirac_power_fd, fd_partial,
                               kernel_multiplicativity_check, left_factor, q0, q0_general, q_m)
 
@@ -177,6 +181,73 @@ def test_jet_order_mismatch_rejected():
     for other in (b, c):
         with pytest.raises(ValueError):
             a + other
+
+
+def test_jet_terms_are_a_read_only_view_of_the_nonzero_coefficients():
+    """The interface per-layer tracing reads: `terms` maps multi-index tuples
+    (whose sum is the degree) to the nonzero coefficients; `order` is the
+    truncation order."""
+    x, y, z = jet_lift([0.5, 0.0, -1.5], 3)
+    f = (x * y + z * z * x).power(1.0) + 2.0
+    terms = f.terms
+    assert terms and f.order == 3 and f.nvars == 3
+    for m, c in terms.items():
+        assert isinstance(m, tuple) and len(m) == 3 and all(isinstance(k, int) for k in m)
+        assert 0 <= sum(m) <= f.order
+        assert c != 0.0 and c == f.derivative(m) / factorial_prod(m)
+    assert set(terms) == {m for m in multi_indices_upto(3, 3) if f.derivative(m)}
+    with pytest.raises(TypeError):
+        terms[(0, 0, 0)] = 1.0
+    assert Jet(3, 2, {(0, 1, 1): 2.5}).terms == {(0, 1, 1): 2.5}
+    with pytest.raises(ValueError):
+        Jet(3, 2, {(0, 3, 0): 1.0})  # above the order
+
+
+def test_norm_sq_jet_is_the_sum_of_coordinate_squares():
+    for order in (0, 1, 2, 4):
+        coords = jet_lift([0.3, -1.2, 2.0], order)
+        by_products = coords[0] * coords[0] + coords[1] * coords[1] + coords[2] * coords[2]
+        assert jet_norm_sq([0.3, -1.2, 2.0], order).coeffs == by_products.coeffs
+
+
+def test_kernel_jet_builds_through_jet_products_and_powers(monkeypatch):
+    """`Jet.__mul__` (jet by jet) and `Jet.power` are the entry points that
+    per-layer tracing patches; a KernelJet of either parity goes through them."""
+    counts = {"products": 0, "powers": 0}
+    mul, power = Jet.__mul__, Jet.power
+
+    def counting_mul(self, other):
+        counts["products"] += isinstance(other, Jet)
+        return mul(self, other)
+
+    def counting_power(self, exponent):
+        counts["powers"] += 1
+        return power(self, exponent)
+
+    monkeypatch.setattr(Jet, "__mul__", counting_mul)
+    monkeypatch.setattr(Jet, "power", counting_power)
+    x = Multivector.vector([0.9, 0.2, -0.4, 1.1])
+    for s in (1, 2):
+        counts.update(products=0, powers=0)
+        KernelJet(x, s, 3)
+        assert counts["products"] > 0 and counts["powers"] > 0
+
+
+def test_jet_shapes_over_budget_are_refused_before_any_work():
+    check_defaults = inspect.signature(check_jet_vs_fd).parameters
+    used = [(4, 7),  # test_q_m_order_cap
+            (4, 5), (5, 5),  # zeta sums with |m| = 5
+            (check_defaults["n"].default, check_defaults["max_order"].default)]
+    for shape in used:
+        require_jet_budget(*shape)
+    x = Multivector.vector([0.3] * 12)
+    start = time.perf_counter()
+    for refuse in (lambda: Jet(4, 11), lambda: Jet.constant(10 ** 6, 1, 1.0), lambda: Jet(1, 10 ** 9),
+                   lambda: jet_lift([1.0] * 10, 10), lambda: KernelJet(x, 1, 5),
+                   lambda: q_m(x, (6,) + (0,) * 11, 1)):
+        with pytest.raises(ValueError, match=r"order \d+ in \d+ variables .* budget"):
+            refuse()
+    assert time.perf_counter() - start < 1.0
 
 
 # ---- derivative kernels ----------------------------------------------------

@@ -1,11 +1,13 @@
-"""Property tests (hypothesis): word balls grow by prefix, and coset keys
-do not see a left translation by the group's translation lattice."""
+"""Property tests (hypothesis): word balls grow by prefix, coset keys do
+not see a left translation by the group's translation lattice, and the
+indexed jet product agrees with a naive convolution of multi-index dicts."""
 
 from hypothesis import given, settings, strategies as st
 
 from cliffmod.clifford import Multivector
 from cliffmod.congruence import (GroupDescriptor, bottom_row_key, gamma_ball, is_member, same_coset,
                                  translation_lattice)
+from cliffmod.jets import Jet, multi_indices_upto
 from cliffmod.vahlen import make_translation, mat_mul
 
 # (p, largest word length) pairs that keep each example cheap
@@ -42,3 +44,57 @@ def test_coset_key_is_invariant_under_lattice_translation(group, data):
     assert is_member(shifted, group)
     assert bottom_row_key(shifted) == bottom_row_key(m)
     assert same_coset(shifted, m, group)
+
+
+# ---- jets ------------------------------------------------------------------------
+
+
+def _naive_product(a: dict, b: dict, order: int) -> tuple[dict, dict]:
+    """The truncated product of two tuple-keyed coefficient dicts by direct
+    convolution, and per coefficient the sum of |products| that fed it."""
+    out, scale = {}, {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            if sum(ma) + sum(mb) <= order:
+                m = tuple(x + y for x, y in zip(ma, mb))
+                out[m] = out.get(m, 0.0) + ca * cb
+                scale[m] = scale.get(m, 0.0) + abs(ca * cb)
+    return out, scale
+
+
+_COEFF = st.one_of(st.just(0.0), st.floats(-10.0, 10.0, allow_subnormal=False))
+
+
+@st.composite
+def _jet_pairs(draw):
+    nvars, order = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    indices = multi_indices_upto(nvars, order)
+    a, b = ({m: draw(_COEFF) for m in indices} for _ in range(2))
+    return nvars, order, a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(_jet_pairs())
+def test_indexed_jet_product_matches_naive_convolution_both_ways(pair):
+    nvars, order, a, b = pair
+    ja, jb = Jet(nvars, order, a), Jet(nvars, order, b)
+    want, scale = _naive_product(a, b, order)
+    for got in ((ja * jb).terms, (jb * ja).terms):
+        for m in set(got) | set(want):
+            assert abs(got.get(m, 0.0) - want.get(m, 0.0)) <= 1e-14 * scale.get(m, 0.0)
+
+
+@st.composite
+def _positive_jets(draw):
+    nvars, order = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    terms = {m: draw(st.floats(-0.5, 0.5)) for m in multi_indices_upto(nvars, order)}
+    terms[(0,) * nvars] = draw(st.floats(1.0, 2.0))
+    return Jet(nvars, order, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_positive_jets(), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+def test_jet_powers_multiply_by_adding_exponents(jet, p, q):
+    lhs, rhs = jet.power(p) * jet.power(q), jet.power(p + q)
+    size = max(max(map(abs, lhs.coeffs)), max(map(abs, rhs.coeffs)))
+    assert all(abs(x - y) <= 1e-13 * size for x, y in zip(lhs.coeffs, rhs.coeffs))

@@ -11,7 +11,8 @@ import pytest
 from cliffmod.clifford import Multivector
 from cliffmod.congruence import GroupDescriptor, contains_neg_identity, enumerate_cosets
 from cliffmod.harness import DEFAULT_THRESHOLDS
-from cliffmod.kernels import dirac_power_fd, fd_partial, q0, q0_general, left_factor
+from cliffmod.jets import multi_indices
+from cliffmod.kernels import KernelJet, dirac_power_fd, fd_partial, q0, q0_general, left_factor
 from cliffmod.series import (MAX_BOX_POINTS, SeriesResult, SeriesSpec, _closed_term, _coset_row,
                              _coset_table, _factors, _sandwich, abscissa_diagnostic,
                              biregular_eisenstein, coset_counts, coset_norm_sums, epsilon_m, evaluate,
@@ -277,6 +278,29 @@ def test_halving_ratio_flags_an_operator_that_does_not_annihilate():
     ratio = median_halving_ratio(coarse, fine)
     assert not lo <= ratio <= hi
     assert ratio == pytest.approx(1.0, abs=1e-3)
+
+
+def test_every_scalar_summand_is_annihilated_by_the_laplacian():
+    """Per term and without stencil error, what criterion 9b sees through
+    its h-halving ratio: at every c != 0 row of the n = 5, s = 2, L = 10
+    table the summand is |c|^{s-n} q0(x + v), and the trace of the order-2
+    kernel jet of q0 there (the Laplacian, -D^2) vanishes to roundoff of
+    the second derivatives it cancels."""
+    spec = SeriesSpec("scalar", FULL51, 2, word_limit=10)
+    n, s = spec.group.n, spec.s
+    rows = [row for row in _coset_table(spec.group, spec.word_limit).rows if row.shift is not None]
+    assert len(rows) > 300
+    squares = [m for m in multi_indices(n, 2) if 2 in m]
+    rng = random.Random(9)
+    for _ in range(3):
+        x = [rng.uniform(-0.5, 0.5) for _ in range(n - 1)] + [rng.uniform(0.5, 1.5)]
+        for row in rows:
+            jet = KernelJet(Multivector.vector([a + b for a, b in zip(x, row.shift)]), s, 2)
+            term = _closed_term(spec, row, x, None).scalar_part()
+            value = jet.q_m((0,) * n).scalar_part() * row.c_norm ** (s - n)
+            assert value == pytest.approx(term, rel=1e-14)
+            second = [jet.q_m(m).scalar_part() for m in squares]
+            assert abs(sum(second)) <= 1e-12 * sum(map(abs, second))
 
 
 def test_scalar_series_requires_even_weight_and_half_space():
