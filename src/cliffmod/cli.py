@@ -102,15 +102,6 @@ def _json_dumps(obj, deterministic: bool) -> str:
     return json.dumps(obj, indent=2, sort_keys=deterministic)
 
 
-def _group_from_args(args) -> GroupDescriptor:
-    level = args.level
-    if args.group in ("principal", "upper0", "lower0") and level is None:
-        raise ValueError(f"--group {args.group} needs --level")
-    if args.group in ("full", "theta") and level is not None:
-        raise ValueError(f"--group {args.group} takes no --level")
-    return GroupDescriptor(args.n, args.p, args.group, level)
-
-
 def _parse_multi_index(text: str, n: int) -> tuple[int, ...]:
     try:
         m = tuple(int(tok) for tok in text.split(","))
@@ -156,7 +147,7 @@ def _result_json(res) -> dict:
 
 
 def _run_cosets(args) -> int:
-    group = _group_from_args(args)
+    group = GroupDescriptor(args.n, args.p, args.group, args.level)
     reps = enumerate_cosets(group, args.maxlen)
     rows = [{
         "word_length": r.word_length,
@@ -187,7 +178,7 @@ def _run_cosets(args) -> int:
 
 
 def _run_eval(args) -> int:
-    group = _group_from_args(args)
+    group = GroupDescriptor(args.n, args.p, args.group, args.level)
     m = _parse_multi_index(args.m, args.n) if args.m else None
     spec = SeriesSpec(args.series, group, s=args.s, t=args.t, m=m,
                       word_limit=args.maxlen, box_radius=args.box)

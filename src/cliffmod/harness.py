@@ -346,10 +346,8 @@ def check_limits(kind: str, n: int, p: int, s: int, t: int | None = None,
     tol = _threshold(thresholds, "limit_final_error")
     if kind not in EISENSTEIN_KINDS:
         raise ValueError(f"no limit statement for series kind {kind!r}; choose from {EISENSTEIN_KINDS}")
-    if variant is None:
-        # a level alone names the principal congruence subgroup
-        variant = "principal" if level else "full"
-    group = GroupDescriptor(n, p, variant, level if variant not in ("full", "theta") else None)
+    # a level alone names the principal congruence subgroup
+    group = GroupDescriptor(n, p, variant or ("principal" if level else "full"), level)
     spec = SeriesSpec(kind, group, s=s, t=t, word_limit=word_limit)
     _require_c_nonzero_coset(group, word_limit)
     errors = []

@@ -28,8 +28,6 @@ import math
 from .clifford import Multivector
 from .jets import jet_lift, jet_norm_sq
 
-_DEFAULT_MAX_ORDER = 6
-
 
 def _check_weight(s: int, n: int):
     if not isinstance(s, int) or not 1 <= s < n:
@@ -121,13 +119,11 @@ class KernelJet:
         return Multivector.scalar(self.dim, self._components[0].derivative(m))
 
 
-def q_m(x: Multivector, m, s: int, max_order: int = _DEFAULT_MAX_ORDER) -> Multivector:
-    """One derivative kernel d^m q0(x); |m| is capped by max_order."""
+def q_m(x: Multivector, m, s: int) -> Multivector:
+    """One derivative kernel d^m q0(x), from a kernel jet of order |m|; the
+    jet budget (`jets.MAX_JET_TABLE`) bounds |m|."""
     m = tuple(m)
-    total = sum(m)
-    if total > max_order:
-        raise ValueError(f"|m| = {total} exceeds the configured cap {max_order}")
-    return KernelJet(x, s, total).q_m(m)
+    return KernelJet(x, s, sum(m)).q_m(m)
 
 
 # ---- finite-difference oracles ---------------------------------------------

@@ -15,8 +15,9 @@ of T(G)\\G,
 with automorphy factors L = q0_s(c x + d) and no R for the one-sided
 kinds, and L = conj(rev(q0_s(c x + d))), R = q0_t(y rev(c) + rev(d)) for
 the two-sided ("biregular") series.  The Eisenstein kinds have f~ = 1;
-the vector series has f~ = G_m(. + e_n); a "poincare" spec takes the
-caller's f~ through `poincare_general`.  `evaluate` is the entry point.
+the vector series has f~ = G_m(. + e_n) with the argument reduced mod
+Z^{n-1}, so that it is periodic at every box radius; a "poincare" spec
+takes the caller's f~ through `poincare_general`.  `evaluate` is the entry point.
 
 The cosets of each (group, L) are enumerated once into a cached table.
 For c != 0 the Vahlen conditions make v = c^{-1} d a vector, so
@@ -39,6 +40,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from .clifford import Multivector
 from .congruence import (CosetRep, GroupDescriptor, contains_neg_identity,
@@ -96,7 +98,7 @@ class SeriesSpec:
             if self.m is None:
                 raise ValueError("vector series needs a derivative multi-index m")
             _check_multi_index(self.m, n, minimum=3)
-            _require_box_budget(n, self.box_radius)
+            _box_points(n, self.box_radius, include_zero=True)  # refuses an over-budget box now
         elif self.m is not None:
             raise ValueError(f"{self.kind} series takes no multi-index")
 
@@ -139,23 +141,35 @@ class SeriesResult:
 MAX_BOX_POINTS = 20_000
 
 
-def _require_box_budget(dim: int, radius: int):
+def _box_points(dim: int, radius: int, include_zero: bool):
+    """Z^dim points with sup norm <= radius, a symmetric exhaustion, as an
+    iterator.  The radius (>= 1) and the MAX_BOX_POINTS budget are checked
+    when it is called, before any point is produced."""
+    if radius < 1:
+        raise ValueError(f"a lattice box needs box_radius >= 1, got {radius}")
     if (2 * radius + 1) ** dim > MAX_BOX_POINTS:
         raise ValueError(f"a box of radius {radius} in {dim} variables has more than the budget "
                          f"of {MAX_BOX_POINTS} lattice points; lower the box radius")
+    box = product(range(-radius, radius + 1), repeat=dim)
+    return box if include_zero else (pt for pt in box if any(pt))
 
 
-def _box_points(dim: int, radius: int, include_zero: bool):
-    """Z^dim points with sup norm <= radius, a symmetric exhaustion."""
-    _require_box_budget(dim, radius)
-    ranges = [range(-radius, radius + 1)] * dim
-    out = [()]
-    for r in ranges:
-        out = [t + (k,) for t in out for k in r]
-    if not include_zero:
-        zero = (0,) * dim
-        out = [t for t in out if t != zero]
-    return out
+def _kernel_sum(points, ms, n: int) -> dict:
+    """{m: sum of q_m(point) over the float points} (s = 1) for each
+    multi-index m, from one kernel jet per point.  The one point rule of
+    the lattice sums: a point needs 1e-12 <= |point| < inf, which refuses
+    lattice poles and NaN or infinite coordinates alike."""
+    order = max(sum(m) for m in ms)
+    totals = {m: Multivector.zero(n) for m in ms}
+    for pt in points:
+        x = Multivector.vector(pt)
+        if not 1e-12 <= x.norm() < math.inf:
+            raise ValueError(f"lattice kernel sum at a point with |x| = {x.norm()}: the argument "
+                             "must avoid the lattice poles and have finite coordinates")
+        kj = KernelJet(x, 1, order)
+        for m in ms:
+            totals[m] = totals[m] + kj.q_m(m)
+    return totals
 
 
 def zeta_m(m, n: int, box_radius: int) -> Multivector:
@@ -173,32 +187,22 @@ def zeta_m_table(ms, n: int, box_radius: int) -> dict:
     ms = [tuple(m) for m in ms]
     for m in ms:
         _check_multi_index(m, n, minimum=3)
-    if box_radius < 1:
-        raise ValueError("box_radius must be >= 1")
-    order = max(sum(m) for m in ms)
-    totals = {m: Multivector.zero(n) for m in ms}
-    for pt in _box_points(n - 1, box_radius, include_zero=False):
-        kj = KernelJet(Multivector.vector(list(pt) + [0]), 1, order)
-        for m in ms:
-            totals[m] = totals[m] + kj.q_m(m)
-    return totals
+    points = ([float(k) for k in omega] + [0.0]
+              for omega in _box_points(n - 1, box_radius, include_zero=False))
+    return _kernel_sum(points, ms, n)
 
 
-def epsilon_m(z: Multivector, m, n: int | None = None, box_radius: int = 4) -> Multivector:
+def epsilon_m(z: Multivector, m, box_radius: int = 4) -> Multivector:
     """Shifted lattice sum  sum_{|omega|_inf <= R} q_m(z + omega), z not in Z^{n-1}."""
-    n = z.dim if n is None else n
+    n = z.dim
     m = tuple(m)
     _check_multi_index(m, n, minimum=3)
     if not z.is_vector():
         raise ValueError("epsilon_m needs a grade-1 argument")
-    total = Multivector.zero(n)
-    order = sum(m)
-    for pt in _box_points(n - 1, box_radius, include_zero=True):
-        x = z + Multivector.vector(list(pt) + [0]).to_float()
-        if x.norm() < 1e-12:
-            raise ValueError("epsilon_m hit a lattice pole; the argument must avoid Z^{n-1}")
-        total = total + KernelJet(x, 1, order).q_m(m)
-    return total
+    zs = [float(c) for c in z.vector_components()]
+    points = ([a + k for a, k in zip(zs, omega + (0,))]
+              for omega in _box_points(n - 1, box_radius, include_zero=True))
+    return _kernel_sum(points, [m], n)[m]
 
 
 def lattice_G_m(x: Multivector, m, box_radius: int = 4) -> Multivector:
@@ -207,21 +211,11 @@ def lattice_G_m(x: Multivector, m, box_radius: int = 4) -> Multivector:
     n = x.dim
     m = tuple(m)
     _check_multi_index(m, n, minimum=3)
-    if not x.is_vector() or not float(x.component(n)) > 0:
-        raise ValueError("lattice_G_m needs a vector with positive last component")
-    _require_box_budget(n, box_radius)
-    xf = x.to_float()
-    order = sum(m)
-    total = Multivector.zero(n)
-    zero_shift = (0,) * (n - 1)
-    box = _box_points(n - 1, box_radius, include_zero=True)
-    for alpha in range(-box_radius, box_radius + 1):
-        for pt in box:
-            if alpha == 0 and pt == zero_shift:
-                continue
-            arg = xf * float(alpha) + Multivector.vector(list(pt) + [0]).to_float()
-            total = total + KernelJet(arg, 1, order).q_m(m)
-    return total
+    _require_half_space(x)
+    xs = [float(c) for c in x.vector_components()]
+    points = ([alpha * a + k for a, k in zip(xs, (*omega, 0))]
+              for alpha, *omega in _box_points(n, box_radius, include_zero=False))
+    return _kernel_sum(points, [m], n)[m]
 
 
 # ---- coset series -----------------------------------------------------------
@@ -398,16 +392,28 @@ def evaluate(spec: SeriesSpec, x: Multivector, y: Multivector | None = None) -> 
     """The truncated series `spec` at x, and at y for the two-sided series
     (y defaults to x there; one-sided series take no y).
 
-    f~ is 1 for the Eisenstein kinds and G_m(. + e_n) for the vector
-    series; a "poincare" spec needs the caller's f~ (`poincare_general`).
+    f~ is 1 for the Eisenstein kinds and G_m(. + e_n) of the argument
+    reduced mod Z^{n-1} for the vector series; a "poincare" spec needs the
+    caller's f~ (`poincare_general`).
     """
     if spec.kind not in EVALUATE_KINDS:
         raise ValueError(f"a {spec.kind} series needs the caller's f~; use poincare_general")
-    f_tilde = None
-    if spec.kind == "vector":
-        e_n = Multivector.basis(spec.group.n, spec.group.n).to_float()
-        f_tilde = lambda u: lattice_G_m(u + e_n, spec.m, spec.box_radius)
+    f_tilde = _vector_f_tilde(spec.m, spec.box_radius) if spec.kind == "vector" else None
     return _coset_series(spec, f_tilde, x, y)
+
+
+def _vector_f_tilde(m, box_radius: int):
+    """f~ of the vector series: u -> G_m(u' + e_n), where u' is u with its
+    first n - 1 coordinates reduced to [-1/2, 1/2).  A box sum at finite R
+    is not periodic, so without the reduction the +-M coset pairs of a
+    group containing -I would not cancel; with it f~ is Z^{n-1}-periodic
+    at every R, as poincare_general requires (and jumps across the cell
+    walls u_i = +-1/2 by the box truncation error)."""
+    def f_tilde(u: Multivector) -> Multivector:
+        *head, last = u.vector_components()
+        return lattice_G_m(Multivector.vector([a - math.floor(a + 0.5) for a in head] + [last + 1.0]),
+                           m, box_radius)
+    return f_tilde
 
 
 def automorphy_residual(spec: SeriesSpec, m, x: Multivector, y: Multivector | None = None) -> Multivector:
@@ -439,8 +445,8 @@ def odd_weight_eisenstein(x: Multivector, spec: SeriesSpec) -> SeriesResult:
 
 
 def vector_eisenstein(x: Multivector, spec: SeriesSpec) -> SeriesResult:
-    """sum over cosets of q0(c x + d) G_m(M<x> + e_n): the lattice average
-    of the derivative kernel, made automorphic."""
+    """sum over cosets of q0(c x + d) G_m(M<x> + e_n), M<x> reduced mod
+    Z^{n-1}: the lattice average of the derivative kernel, made automorphic."""
     _require_kind(spec, "vector")
     return evaluate(spec, x)
 

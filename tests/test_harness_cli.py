@@ -267,6 +267,15 @@ def test_cli_over_budget_request_is_a_quick_usage_error(capsys, argv):
     assert _one_error_line(captured.err) and "budget" in captured.err
 
 
+@pytest.mark.parametrize("command", ["cosets", "eval", "limits"])
+def test_cli_level_on_a_group_without_one_is_usage_error(capsys, command):
+    assert main([command, "--n", "5", "--p", "1", "--group", "full", "--level", "5",
+                 "--maxlen", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_error_line(captured.err) and "level" in captured.err
+
+
 def test_cli_limits_without_c_nonzero_coset_is_usage_error(capsys):
     assert main(["limits", "--n", "4", "--p", "1", "--series", "oddweight", "--s", "1",
                  "--group", "principal", "--level", "3", "--maxlen", "6"]) == 2

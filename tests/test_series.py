@@ -3,6 +3,7 @@ oracles, coset sums against explicit loops, signed cancellation, and the
 convergence diagnostics."""
 
 import dataclasses
+import itertools
 import math
 import random
 
@@ -14,7 +15,7 @@ from cliffmod.harness import DEFAULT_THRESHOLDS
 from cliffmod.jets import multi_indices
 from cliffmod.kernels import KernelJet, dirac_power_fd, fd_partial, q0, q0_general, left_factor
 from cliffmod.series import (MAX_BOX_POINTS, SeriesResult, SeriesSpec, _closed_term, _coset_row,
-                             _coset_table, _factors, _sandwich, abscissa_diagnostic,
+                             _coset_table, _factors, _sandwich, _vector_f_tilde, abscissa_diagnostic,
                              biregular_eisenstein, coset_counts, coset_norm_sums, epsilon_m, evaluate,
                              lattice_G_m, odd_weight_eisenstein, poincare_general, scalar_eisenstein,
                              series_cosets, tail_report, translation_invariance_residual,
@@ -136,6 +137,36 @@ def test_lattice_G_m_splits_off_zeta():
         lattice_G_m(Multivector.vector([0.0, 0.0, 0.0, -1.0]), m)
     with pytest.raises(ValueError):
         lattice_G_m(Multivector.vector([0.0, 0.0, 0.0, 1.0]), (1, 0, 0, 0))
+
+
+def test_lattice_G_m_is_the_explicit_box_sum():
+    # pins the point set: alpha x + omega over the box, the zero point excluded
+    x = Multivector.vector([0.3, -0.7, 0.2, 1.4])
+    m = (1, 0, 2, 0)
+    total = Multivector.zero(4)
+    for alpha in (-1, 0, 1):
+        for omega in itertools.product((-1, 0, 1), repeat=3):
+            if alpha or any(omega):
+                arg = x * float(alpha) + Multivector.vector([float(k) for k in omega] + [0.0])
+                total = total + KernelJet(arg, 1, 3).q_m(m)
+    assert (lattice_G_m(x, m, box_radius=1) - total).norm() <= 1e-14 * total.norm()
+
+
+_M3 = (0, 0, 0, 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lattice_G_m(Multivector.vector([math.inf, 0.0, 0.0, 1.0]), _M3, 1),
+    lambda: lattice_G_m(Multivector.vector([0.0, math.nan, 0.0, 1.0]), _M3, 1),
+    lambda: lattice_G_m(Multivector.vector([0.0, 0.0, 0.0, math.inf]), _M3, 1),
+    lambda: epsilon_m(Multivector.vector([math.inf, 0.0, 0.0, 0.0]), _M3, box_radius=1),
+    lambda: epsilon_m(Multivector.vector([0.5, math.nan, 0.0, 0.0]), _M3, box_radius=1),
+    lambda: lattice_G_m(Multivector.vector([0.0, 0.0, 0.0, 1.0]), _M3, box_radius=0),
+    lambda: epsilon_m(Multivector.vector([0.5, 0.25, 0.0, 0.0]), _M3, box_radius=0),
+], ids=["G-inf", "G-nan", "G-inf-height", "eps-inf", "eps-nan", "G-radius-0", "eps-radius-0"])
+def test_lattice_sums_refuse_non_finite_points_and_empty_boxes(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 # ---- coset exhaustion --------------------------------------------------------
@@ -330,13 +361,37 @@ def test_vector_series_is_a_poincare_series():
     m = (0, 0, 0, 3)
     vspec = SeriesSpec("vector", FULL41, 1, m=m, word_limit=2, box_radius=1)
     pspec = SeriesSpec("poincare", FULL41, 1, word_limit=2)
-    e_n = Multivector.basis(4, 4).to_float()
-    f_tilde = lambda u: lattice_G_m(u + e_n, m, box_radius=1)
     x = Multivector.vector([0.2, -0.1, 0.3, 1.1])
     direct = vector_eisenstein(x, vspec)
-    via_poincare = poincare_general(f_tilde, pspec)(x)
+    via_poincare = poincare_general(_vector_f_tilde(m, 1), pspec)(x)
     assert (direct.value - via_poincare.value).norm() < 1e-14 * max(1.0, direct.value.norm())
     assert direct.n_terms == via_poincare.n_terms
+
+
+def test_vector_f_tilde_is_lattice_periodic():
+    m = (3, 0, 0, 0)
+    f_tilde = _vector_f_tilde(m, 1)
+    raw = lambda u: lattice_G_m(u + Multivector.basis(4, 4), m, box_radius=1)
+    group = GroupDescriptor.full(4, 3)  # translations along e1, e2 and e3
+    pts = [Multivector.vector([0.1, 0.2, -0.1, 1.1]), Multivector.vector([0.45, -0.3, 0.05, 0.7])]
+    size = max(f_tilde(x).norm() for x in pts)
+    assert translation_invariance_residual(f_tilde, group, pts) <= 1e-12 * size
+    # the raw box sum is not periodic at finite R
+    assert translation_invariance_residual(raw, group, pts) > 1e-2 * size
+
+
+def test_vector_series_collapses_over_groups_with_neg_identity():
+    # the cosets pair as M and T_b(-M); with a periodic f~ the two terms
+    # cancel, so the truncated series is zero
+    x = Multivector.vector([0.1, 0.2, -0.1, 1.1])
+    for group, word_limit in ((FULL41, 4), (GroupDescriptor.theta(4, 1), 6),
+                              (GroupDescriptor.principal(4, 1, 2), 6)):
+        spec = SeriesSpec("vector", group, 1, m=(3, 0, 0, 0), word_limit=word_limit, box_radius=1)
+        assert evaluate(spec, x).value.norm() <= 1e-12
+    # without -I nothing pairs off
+    g3 = SeriesSpec("vector", GroupDescriptor.principal(4, 1, 3), 1, m=(3, 0, 0, 0), word_limit=2,
+                    box_radius=1)
+    assert evaluate(g3, x).value.norm() > 1.0
 
 
 def test_vector_series_weight_parity():
