@@ -49,11 +49,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("cosets", help="enumerate translation-coset representatives")
+    pc.set_defaults(run=_run_cosets)
     _add_group_args(pc)
     pc.add_argument("--maxlen", type=int, default=6, help="generator word length bound")
     _add_output_args(pc)
 
     pe = sub.add_parser("eval", help="evaluate a truncated series")
+    pe.set_defaults(run=_run_eval)
     _add_group_args(pe)
     pe.add_argument("--series", choices=EVALUATE_KINDS, default="scalar")
     pe.add_argument("--s", type=int, default=2, help="kernel weight s")
@@ -68,6 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(pe)
 
     pv = sub.add_parser("verify", help="run verification checks")
+    pv.set_defaults(run=_run_verify)
     pv.add_argument("--all", action="store_true", help="run every check")
     pv.add_argument("--check", action="append", default=None, metavar="NAME",
                     help=f"run one named check (repeatable); names: {', '.join(sorted(CHECK_BUILDERS))}")
@@ -77,6 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(pv)
 
     pl = sub.add_parser("limits", help="check the x_n -> infinity limit of a series")
+    pl.set_defaults(run=_run_limits)
     _add_group_args(pl)
     pl.add_argument("--series", choices=EISENSTEIN_KINDS, default="scalar")
     pl.add_argument("--s", type=int, default=2)
@@ -100,6 +104,19 @@ def _emit(text: str, outfile: str | None):
 
 def _json_dumps(obj, deterministic: bool) -> str:
     return json.dumps(obj, indent=2, sort_keys=deterministic)
+
+
+def _emit_reports(reports, payload: dict, args):
+    """`payload` as JSON, or with `--out csv` the reports as one table."""
+    if args.out == "csv":
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(["check", "pass", "residual", "count", "threshold", "target", "seconds"])
+        for r in reports:
+            w.writerow([r.check, r.passed, r.residual, r.count, r.threshold, r.target, r.seconds])
+        _emit(buf.getvalue(), args.outfile)
+    else:
+        _emit(_json_dumps(payload, args.deterministic), args.outfile)
 
 
 def _parse_multi_index(text: str, n: int) -> tuple[int, ...]:
@@ -239,15 +256,7 @@ def _run_verify(args) -> int:
         "all_passed": all(r.passed for r in reports),
         "reports": [r.to_json_dict() for r in reports],
     }
-    if args.out == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["check", "pass", "residual", "count", "threshold", "target", "seconds"])
-        for r in reports:
-            w.writerow([r.check, r.passed, r.residual, r.count, r.threshold, r.target, r.seconds])
-        _emit(buf.getvalue(), args.outfile)
-    else:
-        _emit(_json_dumps(payload, args.deterministic), args.outfile)
+    _emit_reports(reports, payload, args)
     return 0 if payload["all_passed"] else 1
 
 
@@ -262,7 +271,7 @@ def _run_limits(args) -> int:
     if args.deterministic:
         rep.seconds = 0.0
     print(rep.summary_line(), file=sys.stderr)
-    _emit(_json_dumps(rep.to_json_dict(), args.deterministic), args.outfile)
+    _emit_reports([rep], rep.to_json_dict(), args)
     return 0 if rep.passed else 1
 
 
@@ -270,18 +279,10 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if args.command == "cosets":
-            return _run_cosets(args)
-        if args.command == "eval":
-            return _run_eval(args)
-        if args.command == "verify":
-            return _run_verify(args)
-        if args.command == "limits":
-            return _run_limits(args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -259,9 +259,6 @@ class Multivector:
     def to_float(self) -> "Multivector":
         return Multivector(self.dim, {m: float(c) for m, c in self.coeffs.items()})
 
-    def map_coeffs(self, fn) -> "Multivector":
-        return Multivector(self.dim, {m: fn(c) for m, c in self.coeffs.items()})
-
     # ---- serialization --------------------------------------------------
 
     def to_string(self) -> str:
@@ -275,7 +272,7 @@ class Multivector:
             mag = -c if neg else c
             body = _format_coeff(mag)
             if mask:
-                name = _blade_name(mask)
+                name = _blade_name(mask, self.dim)
                 body = name if mag == 1 and not isinstance(mag, float) else f"{body}*{name}"
             if not parts:
                 parts.append(f"-{body}" if neg else body)
@@ -300,23 +297,23 @@ def _format_coeff(c) -> str:
     return repr(c) if isinstance(c, float) else str(c)
 
 
-def _blade_name(mask: int) -> str:
-    idx = mask_indices(mask)
-    if any(i > 9 for i in idx):
-        return "e" + "_".join(str(i) for i in idx)
-    return "e" + "".join(str(i) for i in idx)
+def _blade_name(mask: int, dim: int) -> str:
+    """The blade's name under the rule that `_parse_blade` reads."""
+    return "e" + ("_" if dim > 9 else "").join(str(i) for i in mask_indices(mask))
 
 
 _TERM_SPLIT = re.compile(r"(?<![eE/*])\s*([+-])\s*")
-_BLADE_RE = re.compile(r"^e(\d+(?:_\d+)*)$")
+_BLADE_RE = re.compile(r"^e([1-9]\d*(?:_[1-9]\d*)*)$")
 
 
 def _parse_blade(token: str, dim: int) -> int:
     m = _BLADE_RE.match(token)
     if not m:
         raise ValueError(f"bad blade token {token!r}")
+    # The one blade-name rule: in dims >= 10 a digit run is one index (`e12` is e_12,
+    # `e1_2` is e1 e2); in dims <= 9 a digit is one index unless `_` separates them.
     digits = m.group(1)
-    idx = [int(s) for s in digits.split("_")] if "_" in digits else [int(ch) for ch in digits]
+    idx = [int(s) for s in digits.split("_")] if dim > 9 or "_" in digits else [int(ch) for ch in digits]
     if idx != sorted(idx) or len(set(idx)) != len(idx):
         raise ValueError(f"blade indices must be strictly ascending in {token!r}")
     if any(not 1 <= i <= dim for i in idx):

@@ -369,15 +369,12 @@ def check_limits(kind: str, n: int, p: int, s: int, t: int | None = None,
 
 
 def check_cancellation(n: int = 4, p: int = 1, s: int = 1, word_limit: int = 6,
-                       x: Multivector | None = None,
                        thresholds: dict | None = None) -> VerificationReport:
     """Odd-weight series collapse to zero over every -I-containing variant,
     and do not collapse over principal[3]."""
     t0 = time.perf_counter()
     tol = _threshold(thresholds, "oddweight_collapse")
-    if x is None:
-        base = [0.25, -0.1, 0.3] + [0.05] * n
-        x = Multivector.vector(base[:n - 1] + [1.2])
+    x = Multivector.vector(([0.25, -0.1, 0.3] + [0.05] * n)[:n - 1] + [1.2])
     groups = [GroupDescriptor.full(n, p), GroupDescriptor.principal(n, p, 2),
               GroupDescriptor.theta(n, p), GroupDescriptor.upper0(n, p, 2),
               GroupDescriptor.lower0(n, p, 2)]

@@ -11,14 +11,14 @@ Layout.  A jet keeps its coefficients in one flat list, ordered like
 `multi_indices_upto(nvars, order)`: by total degree, and within a degree
 in the stars-and-bars order of `multi_indices`.  Everything that depends
 only on the shape (nvars, order) lives in one cached `_Shape` per shape:
-the multi-index of each position and its inverse map, the factorial
-products m!, and the product-pair table.  Row i of that table lists,
-for every position j with |m_i| + |m_j| <= order, the position of
-m_i + m_j.  Because the order is graded, those j are a prefix of the
-layout, so a row is a tuple indexed by j.  A product of two jets
-walks only those admissible pairs and skips zero coefficients; it builds
-no tuples (indexed Taylor-mode arithmetic, Griewank & Walther,
-*Evaluating Derivatives*, ch. 13).
+the multi-index of each position and its inverse map, and the
+product-pair table.  Row i of that table lists, for every position j
+with |m_i| + |m_j| <= order, the position of m_i + m_j.  Because the
+order is graded, those j are a prefix of the layout, so a row is a
+tuple indexed by j.  A product of two jets walks only those admissible
+pairs and skips zero coefficients; it builds no tuples (indexed
+Taylor-mode arithmetic, Griewank & Walther, *Evaluating Derivatives*,
+ch. 13).
 
 The pair table of a shape holds C(2 nvars + order, order) entries (one
 per pair of multi-indices whose degrees add up to at most the order),
@@ -91,8 +91,7 @@ def require_jet_budget(nvars: int, order: int):
 class _Shape:
     """The flat layout of one (nvars, order) and its product-pair table."""
 
-    __slots__ = ("nvars", "order", "size", "indices", "position", "factorials", "pairs",
-                 "units", "squares")
+    __slots__ = ("nvars", "order", "size", "indices", "position", "pairs", "units", "squares")
 
     def __init__(self, nvars: int, order: int):
         self.nvars = nvars
@@ -100,7 +99,6 @@ class _Shape:
         self.indices = tuple(multi_indices_upto(nvars, order))
         self.size = len(self.indices)
         self.position = position = {m: i for i, m in enumerate(self.indices)}
-        self.factorials = tuple(float(factorial_prod(m)) for m in self.indices)
         # positions with degree <= k are the prefix of length upto[k]
         upto = [math.comb(nvars + k, k) for k in range(order + 1)]
         self.pairs = tuple(
@@ -182,17 +180,21 @@ class Jet:
     def value(self) -> float:
         return self.coeffs[0]
 
-    def derivative(self, m: tuple[int, ...]) -> float:
-        """(d^m f)(x0): Taylor coefficient rescaled by m!."""
+    def coefficient(self, m: tuple[int, ...]) -> float:
+        """The Taylor coefficient f_m = (d^m f)(x0) / m!."""
         shape = self._shape
         if len(m) != shape.nvars:
-            raise ValueError("multi-index length mismatch")
+            raise ValueError(f"multi-index length {len(m)} != jet variables {shape.nvars}")
         if sum(m) > shape.order:
             raise ValueError(f"derivative order {sum(m)} exceeds jet order {shape.order}")
         i = shape.position.get(tuple(m))
         if i is None:
             raise ValueError(f"{m} is not a multi-index")
-        return self.coeffs[i] * shape.factorials[i]
+        return self.coeffs[i]
+
+    def derivative(self, m: tuple[int, ...]) -> float:
+        """(d^m f)(x0): Taylor coefficient rescaled by m!."""
+        return self.coefficient(m) * factorial_prod(m)
 
     def __add__(self, other):
         if isinstance(other, Jet):

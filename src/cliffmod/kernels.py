@@ -2,22 +2,22 @@
 
 The base kernel on R^n \\ {0}, for integer 1 <= s < n, is
 
-    q0(x) = x / |x|^{n+1-s}    (s odd)
-    q0(x) = 1 / |x|^{n-s}      (s even),
+    q0(x) = x / |x|^beta,  beta = n + 1 - s    (s odd)
+    q0(x) = 1 / |x|^beta,  beta = n - s        (s even),
 
 a fundamental solution of D^s where D = sum_i e_i d/dx_i and D^2 is the
-negative Laplacian.  Derivative kernels q_m = d^m q0 come from jet
-arithmetic; central finite differences are provided as an independent
-cross-check, never as the primary evaluation path.
+negative Laplacian.  Derivative kernels q_m = d^m q0 come from one jet of
+|x|^{-beta} (for odd s by the product rule); central finite differences
+are an independent cross-check, never the primary evaluation path.
 
 On arguments that are products of nonzero vectors (Vahlen entries) the
 kernel extends through reversion,
 
-    q0(a) = reverse(a) / |a|^{n+1-s}   (s odd),
+    q0(a) = reverse(a) / |a|^beta   (s odd),
 
 which agrees with the vector formula (vectors are fixed by reversion)
 and is exactly multiplicative the reversed way around:
-q0(a b) = q0(b) q0(a).  Extending by a/|a|^{n+1-s} instead would break
+q0(a b) = q0(b) q0(a).  Extending by a/|a|^beta instead would break
 that identity already for a = e_1, b = e_2.
 """
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 
 from .clifford import Multivector
-from .jets import jet_lift, jet_norm_sq
+from .jets import factorial_prod, jet_norm_sq
 
 
 def _check_weight(s: int, n: int):
@@ -34,26 +34,19 @@ def _check_weight(s: int, n: int):
         raise ValueError(f"kernel weight must be an integer with 1 <= s < n, got s={s}, n={n}")
 
 
-def q0(x: Multivector, s: int) -> Multivector:
-    """Base kernel at a nonzero vector; float-valued."""
-    n = x.dim
-    _check_weight(s, n)
-    if not x.is_vector() or x.is_zero():
-        raise ValueError("q0 needs a nonzero grade-1 argument")
-    r = x.norm()
-    if s % 2:
-        return x.to_float() * r ** float(-(n + 1 - s))
-    return Multivector.scalar(n, r ** float(-(n - s)))
+def _beta(s: int, n: int) -> int:
+    """The exponent beta of the module docstring."""
+    return n + 1 - s if s % 2 else n - s
 
 
 def kernel_scale(r: float, s: int, n: int) -> float:
-    """r^{-(n+1-s)} for odd s, r^{-(n-s)} for even s: the size factor of the
-    kernel at an argument of norm r.  Refuses r = 0, an infinite or NaN r,
+    """r^{-beta}: the size factor of the kernel at an argument of norm r.
+    The one point rule of the kernels: refuses r = 0, an infinite or NaN r,
     and a power that overflows, with ValueError."""
     if not 0.0 < r < math.inf:
         raise ValueError(f"kernel needs a nonzero finite argument, got |a| = {r}")
     try:
-        return r ** float(-(n + 1 - s) if s % 2 else -(n - s))
+        return r ** float(-_beta(s, n))
     except OverflowError:
         raise ValueError(f"kernel overflows at |a| = {r:.3e}") from None
 
@@ -66,6 +59,13 @@ def q0_general(a: Multivector, s: int) -> Multivector:
     if s % 2:
         return a.reverse().to_float() * scale
     return Multivector.scalar(n, scale)
+
+
+def q0(x: Multivector, s: int) -> Multivector:
+    """Base kernel at a nonzero vector: `q0_general`, as reversion fixes vectors."""
+    if not x.is_vector() or x.is_zero():
+        raise ValueError("q0 needs a nonzero grade-1 argument")
+    return q0_general(x, s)
 
 
 def left_factor(a: Multivector, s: int) -> Multivector:
@@ -82,10 +82,11 @@ def kernel_multiplicativity_check(a: Multivector, b: Multivector, s: int) -> flo
 class KernelJet:
     """All partial derivatives q_m at one point, up to a fixed total order.
 
-    Builds the jet of |x|^{-beta} once, from the closed-form jet of |x|^2;
-    every q_m with |m| <= order is then a coefficient lookup.  Much cheaper
-    than one finite-difference stencil per multi-index when whole
-    derivative tables are needed.
+    Holds one jet, of g = |x|^{-beta} from the closed-form jet of |x|^2, and
+    reads every q_m with |m| <= order from its coefficients: q0 = g for even
+    s, and for odd s q0 = x g by the product rule (x_i g)_m = x0_i g_m +
+    g_{m-e_i}.  Much cheaper than one finite-difference stencil per
+    multi-index when whole derivative tables are needed.
     """
 
     def __init__(self, x: Multivector, s: int, order: int):
@@ -95,28 +96,24 @@ class KernelJet:
             raise ValueError("order must be >= 0")
         if not x.is_vector() or x.is_zero():
             raise ValueError("kernel jets need a nonzero grade-1 base point")
-        self.dim = n
+        kernel_scale(x.norm(), s, n)
         self.s = s
-        self.order = order
-        point = x.vector_components()
-        r_sq = jet_norm_sq(point, order)
-        if s % 2:
-            coords = jet_lift(point, order)
-            g = r_sq.power(-(n + 1 - s) / 2.0)
-            self._components = [c * g for c in coords]
-        else:
-            self._components = [r_sq.power(-(n - s) / 2.0)]
+        self._point = [float(c) for c in x.vector_components()]
+        self._g = jet_norm_sq(self._point, order).power(-_beta(s, n) / 2.0)
+        if not math.isfinite(sum(self._g.coeffs)):
+            raise ValueError(f"a kernel jet of order {order} overflows at |x| = {x.norm():.3e}")
 
     def q_m(self, m) -> Multivector:
         """The derivative kernel d^m q0 at the base point."""
         m = tuple(m)
-        if len(m) != self.dim:
-            raise ValueError(f"multi-index length {len(m)} != dim {self.dim}")
-        if any(k < 0 for k in m):
-            raise ValueError("multi-index entries must be >= 0")
-        if self.s % 2:
-            return Multivector.vector([comp.derivative(m) for comp in self._components])
-        return Multivector.scalar(self.dim, self._components[0].derivative(m))
+        g = self._g
+        if not self.s % 2:
+            return Multivector.scalar(len(self._point), g.derivative(m))
+        g_m = g.coefficient(m)
+        scale = factorial_prod(m)
+        return Multivector.vector([
+            (xi * g_m + g.coefficient(m[:i] + (k - 1,) + m[i + 1:]) if k else xi * g_m) * scale
+            for i, (xi, k) in enumerate(zip(self._point, m))])
 
 
 def q_m(x: Multivector, m, s: int) -> Multivector:

@@ -21,6 +21,10 @@ from fractions import Fraction
 from .clifford import Multivector, vector_inverse, _EXACT_TYPES
 
 
+# Relative tolerance of the float Vahlen conditions and Moebius grade residues.
+FLOAT_TOL = 1e-10
+
+
 class GradedResidueError(ArithmeticError):
     """Moebius image failed to collapse to grade 1 within tolerance."""
 
@@ -192,7 +196,7 @@ def pseudo_det(m: VahlenMatrix) -> Multivector:
     return m.a * m.d.reverse() - m.b * m.c.reverse()
 
 
-def is_vahlen(m: VahlenMatrix, tol: float = 1e-10):
+def is_vahlen(m: VahlenMatrix):
     """Check the decidable Vahlen conditions.
 
     Returns False when a condition fails, True when all pass and the
@@ -205,7 +209,8 @@ def is_vahlen(m: VahlenMatrix, tol: float = 1e-10):
             return False
     else:
         sc = pd.scalar_part()
-        if abs(float(sc)) <= tol or (pd - pd.grade_project(0)).norm() > tol * max(1.0, pd.norm()):
+        off_scalar = (pd - pd.grade_project(0)).norm()
+        if abs(float(sc)) <= FLOAT_TOL or off_scalar > FLOAT_TOL * max(1.0, pd.norm()):
             return False
     for u, v in ((m.a, m.b), (m.d, m.c)):
         # a^{-1} b and d^{-1} c must be vectors when defined
@@ -219,14 +224,14 @@ def is_vahlen(m: VahlenMatrix, tol: float = 1e-10):
         if m.is_exact():
             if check != Multivector.scalar(m.dim, 1):
                 return False
-        elif (check - Multivector.scalar(m.dim, 1.0)).norm() > tol:
+        elif (check - Multivector.scalar(m.dim, 1.0)).norm() > FLOAT_TOL:
             return False
         w = u_inv * v
         residue = w - w.grade_project(1)
         if m.is_exact():
             if not residue.is_zero():
                 return False
-        elif residue.norm() > tol * max(1.0, w.norm()):
+        elif residue.norm() > FLOAT_TOL * max(1.0, w.norm()):
             return False
     return True if m.word is not None else None
 
@@ -234,12 +239,12 @@ def is_vahlen(m: VahlenMatrix, tol: float = 1e-10):
 # ---- the Moebius action --------------------------------------------------
 
 
-def mobius_apply(m: VahlenMatrix, x: Multivector, tol: float = 1e-10) -> Multivector:
+def mobius_apply(m: VahlenMatrix, x: Multivector) -> Multivector:
     """Evaluate M<x> = (a x + b)(c x + d)^{-1} for a vector x.
 
     The product is computed in the full algebra and then projected onto
     grade 1; for genuine group elements the residue vanishes, and a
-    residue above `tol` (relative) raises GradedResidueError.  A
+    residue above `FLOAT_TOL` (relative) raises GradedResidueError.  A
     non-invertible denominator raises ValueError.
     """
     if not x.is_vector():
@@ -263,7 +268,7 @@ def mobius_apply(m: VahlenMatrix, x: Multivector, tol: float = 1e-10) -> Multive
     if exact and full.is_exact:
         if residue != 0:
             raise GradedResidueError(f"exact Moebius image has grade residue {full - image}")
-    elif residue > tol * max(1.0, full.norm()):
+    elif residue > FLOAT_TOL * max(1.0, full.norm()):
         raise GradedResidueError(f"Moebius image residue {residue:.3e} exceeds tolerance")
     return image
 

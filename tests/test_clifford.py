@@ -173,12 +173,37 @@ def test_string_roundtrip():
     assert Multivector.from_string(12, "e1_10_12") == Multivector.blade(12, (1, 10, 12))
 
 
+def test_blade_names_round_trip_in_dims_10_to_12():
+    """In dims >= 10 blade indices are `_`-separated and a digit run is one
+    index, so every blade name parses back to its own blade."""
+    rng = random.Random(10)
+    for n in (10, 11, 12):
+        for mask in range(1 << n):
+            blade = Multivector(n, {mask: 1})
+            assert Multivector.from_string(n, blade.to_string()) == blade
+        for _ in range(50):
+            v = Multivector(n, {rng.randrange(1 << n): Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                                for _ in range(6)})
+            assert Multivector.from_string(n, v.to_string()) == v
+    assert Multivector.basis(10, 10).to_string() == "e10"
+    assert Multivector.basis(12, 12).to_string() == "e12"
+    assert Multivector.blade(12, (1, 2)).to_string() == "e1_2"
+    assert Multivector.from_string(12, "e12") == Multivector.basis(12, 12)
+    assert Multivector.from_string(12, "e1_2") == Multivector.blade(12, (1, 2))
+    # dims <= 9 keep one digit per index
+    assert Multivector.blade(9, (1, 2)).to_string() == "e12"
+    assert Multivector.from_string(9, "e12") == Multivector.from_string(9, "e1_2")
+
+
 def test_string_parse_errors():
     for bad in ("", "e21", "e0x", "2**e1", "+ ", "e1 e2"):
         with pytest.raises(ValueError):
             Multivector.from_string(4, bad)
     with pytest.raises(ValueError):
         Multivector.from_string(2, "e3")  # out of range for dim
+    for bad in ("e13", "e2_1", "e012", "e1_0"):
+        with pytest.raises(ValueError):
+            Multivector.from_string(12, bad)
 
 
 def test_immutability():

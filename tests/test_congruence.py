@@ -12,7 +12,7 @@ from cliffmod.congruence import (MAX_BALL_ESTIMATE, GroupDescriptor, ball_size_e
                                  bottom_row_key, contains_neg_identity, enumerate_cosets, gamma_ball,
                                  gamma_generators, in_order, is_member, is_translation, same_coset,
                                  translation_lattice)
-from cliffmod.vahlen import VahlenMatrix, make_inversion, make_rotation, make_translation, mat_mul
+from cliffmod.vahlen import VahlenMatrix, make_inversion, make_rotation, make_translation, mat_inv, mat_mul
 
 
 def test_descriptor_validation():
@@ -54,6 +54,20 @@ def test_membership_requires_certificate():
         is_member(make_translation(Multivector.basis(4, 2)), g)  # offset outside e_1..e_p
     with pytest.raises(ValueError):
         is_member(m, GroupDescriptor.full(5, 1))  # dimension mismatch
+
+
+def test_translations_by_two_digit_generators_certify():
+    """The provenance word of T(e10) names e10 in a form that parses back,
+    so ball members built from it certify and invert."""
+    g = GroupDescriptor.full(11, 10)
+    members = [m for m in gamma_ball(11, 10, 1) if m.word in (("T(e10)",), ("T(-e10)",))]
+    assert len(members) == 2
+    identity = VahlenMatrix.identity(11)
+    for m in members:
+        assert is_member(m, g)
+        inv = mat_inv(m)
+        assert is_member(inv, g)
+        assert mat_mul(m, inv).entries_equal(identity)
 
 
 def test_congruence_conditions_on_generators():

@@ -215,6 +215,25 @@ def test_cli_limits(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_limits_csv_uses_the_verify_layout(tmp_path, capsys):
+    argv = ["limits", "--n", "5", "--p", "1", "--series", "scalar", "--s", "2",
+            "--maxlen", "6", "--tvals", "10,30", "--deterministic"]
+    out = tmp_path / "limits.csv"
+    assert main(argv + ["--out", "csv", "--outfile", str(out)]) == 0
+    rows = list(csv.reader(io.StringIO(out.read_text())))
+    assert rows[0] == ["check", "pass", "residual", "count", "threshold", "target", "seconds"]
+    assert len(rows) == 2 and rows[1][0] == "limit_scalar" and rows[1][1] == "True"
+    # the default stays the report's JSON
+    default, explicit = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(argv + ["--outfile", str(default)]) == 0
+    assert main(argv + ["--out", "json", "--outfile", str(explicit)]) == 0
+    rep = check_limits("scalar", n=5, p=1, s=2, word_limit=6, t_values=(10, 30))
+    rep.seconds = 0.0
+    assert default.read_text() == explicit.read_text() == json.dumps(rep.to_json_dict(), indent=2,
+                                                                     sort_keys=True)
+    capsys.readouterr()
+
+
 def test_cli_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

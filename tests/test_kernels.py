@@ -290,6 +290,44 @@ def test_q_m_order_cap():
         KernelJet(x, 1, 2).q_m((1, -1, 0, 0))
 
 
+def test_odd_kernel_jet_matches_the_product_route():
+    """The product rule (x_i g)_m = x0_i g_m + g_{m-e_i} against the jet
+    product of the coordinate jet x_i with g = |x|^{-beta}."""
+    rng = random.Random(31)
+    for n in (4, 5):
+        for s in (1, 3):
+            for order in range(5):
+                x = rand_vector(rng, n)
+                point = x.vector_components()
+                g = jet_norm_sq(point, order).power(-(n + 1 - s) / 2.0)
+                products = [c * g for c in jet_lift(point, order)]
+                jet = KernelJet(x, s, order)
+                for m in multi_indices_upto(n, order):
+                    oracle = Multivector.vector([c.derivative(m) for c in products])
+                    got = jet.q_m(m)
+                    largest = max((abs(c) for c in oracle.coeffs.values()), default=0.0)
+                    assert (got - oracle).norm() <= 1e-14 * largest
+
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("coords", [[0.5, -0.25, math.inf, 1.0], [0.5, -0.25, math.nan, 1.0],
+                                    [0.0, 0.0, 0.0, 1e300], [0.0, 0.0, 0.0, 1e-160]],
+                         ids=["inf", "nan", "norm-overflows", "power-overflows"])
+def test_kernel_point_rule_refuses_bad_points(s, coords):
+    x = Multivector.vector(coords)
+    for build in (lambda: q0(x, s), lambda: KernelJet(x, s, 2), lambda: q_m(x, (1, 0, 0, 1), s)):
+        with pytest.raises(ValueError):
+            build()
+
+
+def test_kernel_jet_refuses_overflowing_coefficients():
+    # |x|^-4 fits a float at |x| = 1e-50, but third derivatives (~|x|^-7) do not
+    x = Multivector.vector([0.0, 0.0, 0.0, 1e-50])
+    assert q0(x, 1).component(4) == pytest.approx(1e150)
+    with pytest.raises(ValueError, match="overflows"):
+        KernelJet(x, 1, 3)
+
+
 def test_kernel_jet_shares_work():
     x = Multivector.vector([0.9, 0.2, -0.4, 1.1])
     jet = KernelJet(x, 1, 3)
