@@ -22,17 +22,15 @@ import json
 import sys
 
 from .clifford import Multivector
-from .congruence import GroupDescriptor, contains_neg_identity, enumerate_cosets, translation_lattice
+from .congruence import VARIANTS, GroupDescriptor, contains_neg_identity, enumerate_cosets, translation_lattice
 from .harness import CHECK_BUILDERS, THRESHOLDS_VERSION, check_limits, run_checks
 from .series import EISENSTEIN_KINDS, EVALUATE_KINDS, SeriesSpec, evaluate
-
-_GROUP_CHOICES = ("full", "principal", "upper0", "lower0", "theta")
 
 
 def _add_group_args(p: argparse.ArgumentParser):
     p.add_argument("--n", type=int, default=4, help="ambient dimension (2..12)")
     p.add_argument("--p", type=int, default=1, help="translation rank, 1 <= p <= n-1")
-    p.add_argument("--group", choices=_GROUP_CHOICES, default="full", help="subgroup variant")
+    p.add_argument("--group", choices=VARIANTS, default="full", help="subgroup variant")
     p.add_argument("--level", type=int, default=None, help="congruence level N (variants with [N])")
 
 

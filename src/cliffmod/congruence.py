@@ -2,14 +2,17 @@
 
 For 1 <= p <= n-1 the group Gamma_p is generated by the translations
 T_{e_1}..T_{e_p} and the inversion J.  Its entries live in the standard
-order O_p, the integer span of all blades over e_1..e_p.  Congruence
-conditions are imposed coefficientwise mod a level N:
+order O_p, the integer span of all blades over e_1..e_p.  Each variant
+is one rule (`_RULES`) on a matrix's entries reduced mod its modulus N:
 
-- full:          no condition
-- principal[N]:  a - 1, b, c, d - 1 all in N O_p
-- upper0[N]:     b in N O_p
-- lower0[N]:     c in N O_p
-- theta:         union of principal[2] and principal[2] * J
+- full:          N = 1, every residue is kept
+- principal[N]:  the residue is I
+- upper0[N]:     b = 0
+- lower0[N]:     c = 0
+- theta:         N = 2, the residue is I or J = (0 1; 1 0)
+
+Reduction mod N is a ring map on O_p, so membership is one lookup, and
+the translation lattice and whether -I is a member follow from the rule.
 
 Membership testing requires generator-word provenance (a matrix built
 by multiplying T/J generators); entries alone cannot certify that a
@@ -21,20 +24,45 @@ coset of T(Lambda)\\Lambda exactly when their bottom rows agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import count
+from typing import NamedTuple
 
 from .clifford import Multivector
 from .vahlen import VahlenMatrix, make_inversion, make_translation, mat_inv, mat_mul
 
-VARIANTS = ("full", "principal", "upper0", "lower0", "theta")
 
-_VARIANT_LABEL = {
-    "full": "Gamma_{p}",
-    "principal": "Gamma_{p}[{N}]",
-    "upper0": "Gamma_{p}^0[{N}]",
-    "lower0": "Gamma_{p}_0[{N}]",
-    "theta": "Gamma_{p}_theta",
+def _residue(m: VahlenMatrix, modulus: int, entries: str) -> tuple[frozenset, ...]:
+    """Per named entry of m, its nonzero (blade mask, coefficient mod N)
+    pairs; a float coefficient raises TypeError, as in `in_order`."""
+    out = []
+    for name in entries:
+        pairs = []
+        for mask, c in getattr(m, name).coeffs.items():
+            if isinstance(c, float):
+                raise TypeError("a residue mod N needs exact entries")
+            if r := c % modulus:
+                pairs.append((mask, r))
+        out.append(frozenset(pairs))
+    return tuple(out)
+
+
+class _Rule(NamedTuple):
+    label: str            # formatted with p and the level N
+    modulus: int | None   # fixed, or None for the group's level N >= 2
+    entries: str          # the entries of (a b; c d) that the rule reads
+    kept: frozenset       # the residues of those entries that it keeps
+
+
+_ZERO, _ONE = frozenset(), frozenset({(0, 1)})  # 0 and 1 mod any N >= 2
+_I, _J = (_ONE, _ZERO, _ZERO, _ONE), (_ZERO, _ONE, _ONE, _ZERO)  # J = (0 -1; 1 0) mod 2
+_RULES = {
+    "full": _Rule("Gamma_{p}", 1, "", frozenset({()})),
+    "principal": _Rule("Gamma_{p}[{N}]", None, "abcd", frozenset({_I})),
+    "upper0": _Rule("Gamma_{p}^0[{N}]", None, "b", frozenset({(_ZERO,)})),
+    "lower0": _Rule("Gamma_{p}_0[{N}]", None, "c", frozenset({(_ZERO,)})),
+    "theta": _Rule("Gamma_{p}_theta", 2, "abcd", frozenset({_I, _J})),
 }
+VARIANTS = tuple(_RULES)
 
 
 @dataclass(frozen=True)
@@ -51,7 +79,7 @@ class GroupDescriptor:
             raise ValueError(f"need 1 <= p <= n-1, got p={self.p}, n={self.n}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
-        if self.variant in ("principal", "upper0", "lower0"):
+        if _RULES[self.variant].modulus is None:
             if not isinstance(self.level, int) or self.level < 2:
                 raise ValueError(f"variant {self.variant!r} needs an integer level >= 2")
         elif self.level is not None:
@@ -79,7 +107,7 @@ class GroupDescriptor:
 
     @property
     def label(self) -> str:
-        return _VARIANT_LABEL[self.variant].format(p=self.p, N=self.level)
+        return _RULES[self.variant].label.format(p=self.p, N=self.level)
 
 
 # ---- the standard order ---------------------------------------------------
@@ -150,28 +178,11 @@ def is_member(m: VahlenMatrix, group: GroupDescriptor) -> bool:
 
 
 def _congruence_conditions(m: VahlenMatrix, group: GroupDescriptor) -> bool:
-    p, variant, level = group.p, group.variant, group.level
-    if variant == "full":
-        return True
-    if variant == "principal":
-        one = Multivector.scalar(group.n, 1)
-        return (in_order(m.a - one, p, level) and in_order(m.b, p, level)
-                and in_order(m.c, p, level) and in_order(m.d - one, p, level))
-    if variant == "upper0":
-        return in_order(m.b, p, level)
-    if variant == "lower0":
-        return in_order(m.c, p, level)
-    # theta: principal[2] or principal[2] * J
-    pr2, j_inv = _theta_parts(group.n, p)
-    if _congruence_conditions(m, pr2):
-        return True
-    return _congruence_conditions(mat_mul(m, j_inv), pr2)
-
-
-@lru_cache(maxsize=None)
-def _theta_parts(n: int, p: int) -> tuple[GroupDescriptor, VahlenMatrix]:
-    """principal[2] and J^{-1}, built once per (n, p) for the theta test."""
-    return GroupDescriptor.principal(n, p, 2), mat_inv(make_inversion(n))
+    """One lookup of m's residue in its variant's kept set; full (N = 1)
+    keeps every residue, so it reduces nothing."""
+    rule = _RULES[group.variant]
+    modulus = rule.modulus or group.level
+    return modulus == 1 or _residue(m, modulus, rule.entries) in rule.kept
 
 
 # ---- translation lattices ---------------------------------------------------
@@ -192,18 +203,11 @@ class TranslationLattice:
 
 
 def translation_lattice(group: GroupDescriptor) -> TranslationLattice:
-    """T(G) for each variant.
-
-    full and lower0 keep the whole of Z^p (a lower-triangular congruence
-    does not constrain b); principal[N] and upper0[N] force b into N Z^p;
-    theta gives 2 Z^p because an element of principal[2] * J always has
-    d even, so it cannot be a translation.
-    """
-    if group.variant in ("full", "lower0"):
-        return TranslationLattice(group.p, 1)
-    if group.variant in ("principal", "upper0"):
-        return TranslationLattice(group.p, group.level)
-    return TranslationLattice(group.p, 2)
+    """T(G) = scale * Z^p, scale the least k > 0 with T_{k e_1} kept: the
+    rules treat e_1..e_p alike, and T_{N e_1} = I mod N is always kept."""
+    e1 = Multivector.basis(group.n, 1)
+    return TranslationLattice(group.p, next(k for k in count(1)
+                                            if _congruence_conditions(make_translation(e1 * k), group)))
 
 
 def is_translation(m: VahlenMatrix) -> bool:
@@ -353,7 +357,5 @@ def enumerate_cosets(group: GroupDescriptor, max_len: int) -> list[CosetRep]:
 
 
 def contains_neg_identity(group: GroupDescriptor) -> bool:
-    """Whether -I belongs to the group; -I = J J makes this a membership call."""
-    j = make_inversion(group.n)
-    neg_id = mat_mul(j, j)
-    return is_member(neg_id, group)
+    """Whether -I belongs to the group: whether its residue is kept."""
+    return _congruence_conditions(-VahlenMatrix.identity(group.n), group)

@@ -341,9 +341,16 @@ def check_limits(kind: str, n: int, p: int, s: int, t: int | None = None,
                  thresholds: dict | None = None) -> VerificationReport:
     """Values at x = e_n * t approach the c = 0 coset count as t grows,
     with strictly decreasing error.  A truncation without a c != 0 coset
-    raises ValueError: its series is the count itself at every t."""
+    raises ValueError: its series is the count itself at every t.  So do
+    fewer than two heights (one error decreases trivially) or a non-finite one."""
     t0 = time.perf_counter()
     tol = _threshold(thresholds, "limit_final_error")
+    try:
+        heights = [float(tv) for tv in t_values]
+    except OverflowError as exc:
+        raise ValueError("a height is too large for a float") from exc
+    if len(heights) < 2 or not all(map(math.isfinite, heights)):
+        raise ValueError(f"the limit check needs at least two finite heights, got {heights}")
     if kind not in EISENSTEIN_KINDS:
         raise ValueError(f"no limit statement for series kind {kind!r}; choose from {EISENSTEIN_KINDS}")
     # a level alone names the principal congruence subgroup
@@ -352,8 +359,8 @@ def check_limits(kind: str, n: int, p: int, s: int, t: int | None = None,
     _require_c_nonzero_coset(group, word_limit)
     errors = []
     target = None
-    for tv in t_values:
-        res = evaluate(spec, Multivector.vector([0.0] * (n - 1) + [float(tv)]))
+    for tv in heights:
+        res = evaluate(spec, Multivector.vector([0.0] * (n - 1) + [tv]))
         target = res.coset_count_c0
         errors.append((res.value - Multivector.scalar(n, float(target))).norm())
     decreasing = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
@@ -525,11 +532,20 @@ CHECK_BUILDERS = {
 
 def run_checks(names=None, seed: int = 0, thresholds: dict | None = None,
                deterministic: bool = False) -> list[VerificationReport]:
-    """Run the named checks (all by default) and return their reports."""
+    """Run the named checks (all by default) and return their reports.
+    Bad check names and threshold overrides raise ValueError first."""
     names = list(CHECK_BUILDERS) if names is None else list(names)
     unknown = [k for k in names if k not in CHECK_BUILDERS]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; available: {sorted(CHECK_BUILDERS)}")
+    for key, value in (thresholds or {}).items():
+        if key not in DEFAULT_THRESHOLDS:
+            raise ValueError(f"unknown threshold {key!r}; names: {', '.join(sorted(DEFAULT_THRESHOLDS))}")
+        pair = isinstance(DEFAULT_THRESHOLDS[key], tuple)
+        if pair and not (isinstance(value, tuple) and len(value) == 2):
+            raise ValueError(f"threshold {key!r} takes a pair (lo, hi), got {value!r}")
+        if not all(map(math.isfinite, value if pair else (value,))):
+            raise ValueError(f"threshold {key!r} must be finite, got {value!r}")
     reports = []
     for name in names:
         rep = CHECK_BUILDERS[name](seed, thresholds)

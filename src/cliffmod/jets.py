@@ -163,16 +163,6 @@ class Jet:
         shape = _shape(nvars, order)
         return cls._from_coeffs(shape, [float(value)] + [0.0] * (shape.size - 1))
 
-    @classmethod
-    def variable(cls, nvars: int, order: int, i: int, value: float) -> "Jet":
-        """The coordinate function x_i (0-based) expanded at x_i = value."""
-        if not 0 <= i < nvars:
-            raise ValueError(f"variable index {i} out of range")
-        jet = cls.constant(nvars, order, value)
-        for k in jet._shape.units[i:i + 1]:
-            jet.coeffs[k] = 1.0
-        return jet
-
     def _check(self, other: "Jet"):
         if self._shape is not other._shape:
             raise ValueError("jet shape mismatch")
@@ -261,13 +251,6 @@ class Jet:
             out = [o + coeff * a for o, a in zip(out, acc.coeffs)]
         scale = u0 ** exponent
         return Jet._from_coeffs(shape, [c * scale for c in out])
-
-
-def jet_lift(point, order: int) -> list[Jet]:
-    """Coordinate jets of a point: the identity map, Taylor-expanded there."""
-    comps = [float(c) for c in point]
-    n = len(comps)
-    return [Jet.variable(n, order, i, comps[i]) for i in range(n)]
 
 
 def jet_norm_sq(point, order: int) -> Jet:

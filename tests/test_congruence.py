@@ -1,17 +1,20 @@
 """Congruence subgroups: order membership, certified group membership,
-translation lattices, coset keys against the same_coset oracle, and the
-breadth-first enumeration."""
+the residue rules against coefficientwise conditions, translation
+lattices, coset keys against the same_coset oracle, and the breadth-first
+enumeration."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliffmod.clifford import Multivector
-from cliffmod.congruence import (MAX_BALL_ESTIMATE, GroupDescriptor, ball_size_estimate,
-                                 bottom_row_key, contains_neg_identity, enumerate_cosets, gamma_ball,
-                                 gamma_generators, in_order, is_member, is_translation, same_coset,
-                                 translation_lattice)
+from cliffmod.congruence import (MAX_BALL_ESTIMATE, GroupDescriptor, _congruence_conditions,
+                                 ball_size_estimate, bottom_row_key, contains_neg_identity,
+                                 enumerate_cosets, gamma_ball, gamma_generators, in_order, is_member,
+                                 is_translation, same_coset, translation_lattice)
+from cliffmod.harness import random_word_matrix
 from cliffmod.vahlen import VahlenMatrix, make_inversion, make_rotation, make_translation, mat_inv, mat_mul
 
 
@@ -68,6 +71,62 @@ def test_translations_by_two_digit_generators_certify():
         inv = mat_inv(m)
         assert is_member(inv, g)
         assert mat_mul(m, inv).entries_equal(identity)
+
+
+def _reference_conditions(m: VahlenMatrix, group: GroupDescriptor) -> bool:
+    """The congruence conditions coefficientwise, variant by variant: an
+    independent statement of each rule, by `in_order` on whole entries."""
+    p, variant, level = group.p, group.variant, group.level
+    if variant == "full":
+        return True
+    if variant == "principal":
+        one = Multivector.scalar(group.n, 1)
+        return (in_order(m.a - one, p, level) and in_order(m.b, p, level)
+                and in_order(m.c, p, level) and in_order(m.d - one, p, level))
+    if variant == "upper0":
+        return in_order(m.b, p, level)
+    if variant == "lower0":
+        return in_order(m.c, p, level)
+    # theta: principal[2] or principal[2] * J
+    pr2 = GroupDescriptor.principal(group.n, p, 2)
+    return (_reference_conditions(m, pr2)
+            or _reference_conditions(mat_mul(m, mat_inv(make_inversion(group.n))), pr2))
+
+
+def _groups(n: int, p: int) -> list[GroupDescriptor]:
+    """Every variant, at levels 2, 3 and 4 where it takes one."""
+    return [GroupDescriptor.full(n, p), GroupDescriptor.theta(n, p)] + [
+        GroupDescriptor(n, p, variant, level) for variant in ("principal", "upper0", "lower0")
+        for level in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("n, p, max_len", [(4, 1, 8), (5, 2, 4)])
+def test_residue_rules_match_coefficientwise_conditions_on_a_ball(n, p, max_len):
+    ball = gamma_ball(n, p, max_len)
+    for group in _groups(n, p):
+        for m in ball:
+            assert _congruence_conditions(m, group) == _reference_conditions(m, group), (group.label, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(4, 1), (5, 2), (6, 3)]), st.randoms(use_true_random=False))
+def test_residue_rules_match_coefficientwise_conditions_on_random_words(n_p, rng):
+    m = random_word_matrix(rng, *n_p, max_len=14)
+    for group in _groups(*n_p):
+        assert is_member(m, group) == _reference_conditions(m, group), group.label
+
+
+def test_membership_of_float_entries_is_refused_except_in_the_full_group():
+    """A certified word with float entries: full needs no residue and keeps
+    it; every other variant refuses to reduce floats."""
+    n, p = 4, 1
+    m = mat_mul(make_translation(Multivector.basis(n, 1)), make_inversion(n)).to_float()
+    for group in _groups(n, p):
+        if group.variant == "full":
+            assert is_member(m, group)
+        else:
+            with pytest.raises(TypeError):
+                is_member(m, group)
 
 
 def test_congruence_conditions_on_generators():

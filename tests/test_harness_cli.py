@@ -183,6 +183,35 @@ def test_cli_verify_usage_errors(capsys):
     capsys.readouterr()
 
 
+def _one_line_usage_error(capsys, argv) -> str:
+    """Run argv, expect exit 2 with nothing but a one-line message, return it."""
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_cli_verify_refuses_an_unknown_threshold(capsys):
+    err = _one_line_usage_error(capsys, ["verify", "--check", "kernel", "--threshold", "nope=1"])
+    assert "'nope'" in err
+
+
+def test_cli_verify_refuses_a_scalar_for_a_pair_threshold(capsys):
+    err = _one_line_usage_error(capsys, ["verify", "--check", "monogenic",
+                                         "--threshold", "kernel_monogenicity_ratio=3"])
+    assert "pair" in err
+    with pytest.raises(ValueError, match="pair"):
+        run_checks(["monogenic"], thresholds={"kernel_monogenicity_ratio": 4.0})
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_verify_refuses_a_non_finite_threshold(capsys, value):
+    err = _one_line_usage_error(capsys, ["verify", "--check", "limits",
+                                         "--threshold", f"limit_final_error={value}"])
+    assert "finite" in err
+
+
 def test_cli_verify_deterministic_is_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["verify", "--check", "kernel", "--check", "mobius", "--deterministic"]
@@ -213,6 +242,19 @@ def test_cli_limits(tmp_path, capsys):
     assert payload["pass"] is True
     assert main(["limits", "--n", "5", "--tvals", "ten"]) == 2
     capsys.readouterr()
+
+
+def test_cli_limits_refuses_a_height_too_large_for_a_float(capsys):
+    huge = "1" + "0" * 400
+    err = _one_line_usage_error(capsys, ["limits", "--n", "5", "--tvals", f"10,30,{huge}"])
+    assert "too large" in err
+
+
+def test_limits_refuses_fewer_than_two_heights_or_a_non_finite_one(capsys):
+    _one_line_usage_error(capsys, ["limits", "--n", "5", "--tvals", "10"])
+    for t_values in ((10,), (), (10, float("inf")), (float("nan"), 30)):
+        with pytest.raises(ValueError, match="two finite heights"):
+            check_limits("scalar", n=5, p=1, s=2, word_limit=6, t_values=t_values)
 
 
 def test_cli_limits_csv_uses_the_verify_layout(tmp_path, capsys):

@@ -10,10 +10,23 @@ import pytest
 
 from cliffmod.clifford import Multivector
 from cliffmod.harness import check_jet_vs_fd
-from cliffmod.jets import (Jet, factorial_prod, jet_lift, jet_norm_sq, multi_indices, multi_indices_upto,
+from cliffmod.jets import (Jet, factorial_prod, jet_norm_sq, multi_indices, multi_indices_upto,
                            require_jet_budget)
 from cliffmod.kernels import (KernelJet, dirac_fd, dirac_power_fd, fd_partial,
                               kernel_multiplicativity_check, left_factor, q0, q0_general, q_m)
+
+
+def jet_lift(point, order: int) -> list[Jet]:
+    """Coordinate jets of a point: each x_i, Taylor-expanded there."""
+    comps = [float(c) for c in point]
+    n = len(comps)
+    lifts = []
+    for i, c in enumerate(comps):
+        terms = {(0,) * n: c}
+        if order:
+            terms[tuple(int(j == i) for j in range(n))] = 1.0
+        lifts.append(Jet(n, order, terms))
+    return lifts
 
 
 def rand_vector(rng, n, lo=-2.0, hi=2.0):

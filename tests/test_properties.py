@@ -1,14 +1,46 @@
-"""Property tests (hypothesis): word balls grow by prefix, coset keys do
-not see a left translation by the group's translation lattice, and the
-indexed jet product agrees with a naive convolution of multi-index dicts."""
+"""Property tests (hypothesis): exact multivectors round-trip through
+their string form, exact generator words times their inverses are the
+identity, word balls grow by prefix, coset keys do not see a left
+translation by the group's translation lattice, and the indexed jet
+product agrees with a naive convolution of multi-index dicts."""
 
 from hypothesis import given, settings, strategies as st
 
-from cliffmod.clifford import Multivector
+from cliffmod.clifford import MAX_DIM, Multivector
 from cliffmod.congruence import (GroupDescriptor, bottom_row_key, gamma_ball, is_member, same_coset,
                                  translation_lattice)
+from cliffmod.harness import random_word_matrix
 from cliffmod.jets import Jet, multi_indices_upto
-from cliffmod.vahlen import make_translation, mat_mul
+from cliffmod.vahlen import VahlenMatrix, make_translation, mat_inv, mat_mul
+
+
+_EXACT_COEFF = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                         st.fractions(max_denominator=10 ** 4).filter(lambda c: abs(c) < 10 ** 6))
+
+
+@st.composite
+def _exact_multivectors(draw):
+    dim = draw(st.integers(1, MAX_DIM))
+    coeffs = draw(st.dictionaries(st.integers(0, (1 << dim) - 1), _EXACT_COEFF, max_size=6))
+    return Multivector(dim, coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_exact_multivectors())
+def test_exact_multivectors_round_trip_through_their_string_form(v):
+    back = Multivector.from_string(v.dim, v.to_string())
+    assert back == v and back.to_string() == v.to_string()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 1), (4, 1), (5, 2), (6, 3), (11, 10)]), st.randoms(use_true_random=False))
+def test_exact_generator_words_times_their_inverses_are_the_identity(n_p, rng):
+    m = random_word_matrix(rng, *n_p, max_len=12)
+    assert m.is_exact()
+    identity = VahlenMatrix.identity(m.dim)
+    assert mat_mul(m, mat_inv(m)).entries_equal(identity)
+    assert mat_mul(mat_inv(m), m).entries_equal(identity)
+
 
 # (p, largest word length) pairs that keep each example cheap
 _BALLS = st.sampled_from([(1, 7), (2, 4)])
