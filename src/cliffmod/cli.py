@@ -23,7 +23,7 @@ import sys
 
 from .clifford import Multivector
 from .congruence import VARIANTS, GroupDescriptor, contains_neg_identity, enumerate_cosets, translation_lattice
-from .harness import CHECK_BUILDERS, THRESHOLDS_VERSION, check_limits, run_checks
+from .harness import _REPORT_FIELDS, CHECK_BUILDERS, THRESHOLDS_VERSION, check_limits, run_checks
 from .series import EISENSTEIN_KINDS, EVALUATE_KINDS, SeriesSpec, evaluate
 
 
@@ -109,9 +109,9 @@ def _emit_reports(reports, payload: dict, args):
     if args.out == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
-        w.writerow(["check", "pass", "residual", "count", "threshold", "target", "seconds"])
+        w.writerow(["check", "pass", *_REPORT_FIELDS, "seconds"])
         for r in reports:
-            w.writerow([r.check, r.passed, r.residual, r.count, r.threshold, r.target, r.seconds])
+            w.writerow([r.check, r.passed, *(getattr(r, k) for k in _REPORT_FIELDS), r.seconds])
         _emit(buf.getvalue(), args.outfile)
     else:
         _emit(_json_dumps(payload, args.deterministic), args.outfile)

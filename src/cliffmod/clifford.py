@@ -390,21 +390,17 @@ def vector_inverse(x: Multivector) -> Multivector:
     """Inverse of a nonzero vector: -x / |x|^2."""
     if not x.is_vector() or x.is_zero():
         raise ValueError("vector_inverse requires a nonzero grade-1 element")
-    nsq = x.norm_sq()
-    if x.is_exact:
-        return -x / Fraction(nsq)
-    return -x / float(nsq)
+    return -x / x.norm_sq()
 
 
 def clifford_group_inverse(a: Multivector) -> Multivector:
     """Inverse of a product of nonzero vectors: conjugate(a) / Sc(conjugate(a) a).
 
     The caller asserts that `a` is indeed such a product; the only check
-    performed is that the scalar denominator does not vanish.
+    performed is that the scalar denominator does not vanish.  Division
+    keeps exact coefficients exact.
     """
     denom = (a.conjugate() * a).scalar_part()
     if denom == 0:
         raise ValueError("clifford_group_inverse: scalar Sc(conj(a) a) vanishes")
-    if isinstance(denom, _EXACT_TYPES) and a.is_exact:
-        return a.conjugate() / Fraction(denom)
-    return a.conjugate() / float(denom)
+    return a.conjugate() / denom

@@ -21,14 +21,13 @@ from .congruence import (GroupDescriptor, bottom_row_key, contains_neg_identity,
                          enumerate_cosets, gamma_ball, gamma_generators, is_member,
                          same_coset)
 from .kernels import KernelJet, dirac_fd, dirac_power_fd, fd_partial, kernel_multiplicativity_check, q0
-from .series import (EISENSTEIN_KINDS, SeriesSpec, automorphy_residual, coset_counts, coset_norm_sums,
-                     evaluate, odd_weight_eisenstein, scalar_eisenstein, tail_report, zeta_m_table)
+from .series import (EISENSTEIN_KINDS, SeriesSpec, abscissa_diagnostic, automorphy_residual, coset_counts,
+                     evaluate, odd_weight_eisenstein, scalar_eisenstein, zeta_m_table)
 from .vahlen import VahlenMatrix, make_translation, mat_mul, mobius_apply
 
 THRESHOLDS_VERSION = "1"
 
 DEFAULT_THRESHOLDS = {
-    "clifford_relations": 0.0,          # exact
     "mobius_homomorphism": 1e-9,
     "kernel_multiplicativity": 1e-10,
     "kernel_monogenicity": 1e-6,
@@ -39,6 +38,11 @@ DEFAULT_THRESHOLDS = {
     "series_monogenicity": 1e-2,
     "zeta_tail_factor": 10.0,
 }
+
+
+# The optional measurements of a report, in output order, with their summary-line format.
+_REPORT_FIELDS = {"residual": "residual={:.3e}", "count": "count={}",
+                  "threshold": "threshold={:.3e}", "target": "target={}"}
 
 
 @dataclass
@@ -55,32 +59,19 @@ class VerificationReport:
     seconds: float = 0.0
     note: str = ""
 
+    def _measures(self) -> dict:
+        return {k: getattr(self, k) for k in _REPORT_FIELDS if getattr(self, k) is not None}
+
     def to_json_dict(self) -> dict:
         out = {"check": self.check, "params": self.params, "pass": self.passed,
-               "seconds": self.seconds}
-        if self.residual is not None:
-            out["residual"] = self.residual
-        if self.count is not None:
-            out["count"] = self.count
-        if self.threshold is not None:
-            out["threshold"] = self.threshold
-        if self.target is not None:
-            out["target"] = self.target
+               "seconds": self.seconds, **self._measures()}
         if self.note:
             out["note"] = self.note
         return out
 
     def summary_line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
-        bits = []
-        if self.residual is not None:
-            bits.append(f"residual={self.residual:.3e}")
-        if self.count is not None:
-            bits.append(f"count={self.count}")
-        if self.threshold is not None:
-            bits.append(f"threshold={self.threshold:.3e}")
-        if self.target is not None:
-            bits.append(f"target={self.target}")
+        bits = [_REPORT_FIELDS[k].format(v) for k, v in self._measures().items()]
         if self.note:
             bits.append(self.note)
         return f"[{verdict}] {self.check}: " + "  ".join(bits)
@@ -104,13 +95,12 @@ def _threshold(overrides: dict | None, key: str):
 # ---- samplers ----------------------------------------------------------------
 
 
-def sample_strip_point(rng: random.Random, n: int, eps: float = 0.25,
-                       xn_range: tuple[float, float] = (0.5, 2.0),
+def sample_strip_point(rng: random.Random, n: int, xn_range: tuple[float, float],
                        base_radius: float = 1.0) -> Multivector:
-    """Random float point in the strip V_eps (|underscore| <= 1/eps, x_n > eps)."""
-    radius = min(base_radius, 1.0 / eps)
-    comps = [rng.uniform(-radius, radius) for _ in range(n - 1)]
-    comps.append(rng.uniform(max(xn_range[0], eps * 1.01), xn_range[1]))
+    """Random float point with underscored components uniform in
+    [-base_radius, base_radius] and x_n uniform in xn_range."""
+    comps = [rng.uniform(-base_radius, base_radius) for _ in range(n - 1)]
+    comps.append(rng.uniform(*xn_range))
     return Multivector.vector(comps)
 
 
@@ -136,8 +126,7 @@ def random_word_matrix(rng: random.Random, n: int, p: int, max_len: int = 6) -> 
 # ---- checks -------------------------------------------------------------------
 
 
-def check_clifford_relations(dims=(4, 8), samples: int = 1000, seed: int = 0,
-                             thresholds: dict | None = None) -> VerificationReport:
+def check_clifford_relations(dims=(4, 8), samples: int = 1000, seed: int = 0) -> VerificationReport:
     """Generator relations exactly, plus random exact associativity and
     anti-automorphism identities on sparse multivectors."""
     t0 = time.perf_counter()
@@ -182,7 +171,7 @@ def check_mobius_homomorphism(n: int = 4, p: int = 1, pairs: int = 200, points: 
     t0 = time.perf_counter()
     rng = random.Random(seed)
     tol = _threshold(thresholds, "mobius_homomorphism")
-    pts = [sample_strip_point(rng, n, eps=0.25, xn_range=(0.3, 2.0), base_radius=2.0)
+    pts = [sample_strip_point(rng, n, xn_range=(0.3, 2.0), base_radius=2.0)
            for _ in range(points)]
     worst = 0.0
     halfspace_ok = True
@@ -281,8 +270,7 @@ def check_jet_vs_fd(n: int = 4, points: int = 50, max_order: int = 3, h: float =
         passed=worst < tol, residual=worst, threshold=tol, seconds=dt)
 
 
-def check_coset_counts(n: int = 4, p: int = 1, word_limit: int = 6,
-                       thresholds: dict | None = None) -> VerificationReport:
+def check_coset_counts(n: int = 4, p: int = 1, word_limit: int = 6) -> VerificationReport:
     """c = 0 coset counts against the predicted values, the theta count
     against an oracle-derived partition, and key-vs-oracle agreement."""
     t0 = time.perf_counter()
@@ -411,7 +399,7 @@ def check_cancellation(n: int = 4, p: int = 1, s: int = 1, word_limit: int = 6,
 def check_automorphy(kind: str, n: int, p: int, s: int, t: int | None = None,
                      variant: str = "full", level: int | None = None,
                      word_limits=(5, 8), n_elements: int = 10, n_points: int = 10,
-                     seed: int = 0, thresholds: dict | None = None) -> VerificationReport:
+                     seed: int = 0) -> VerificationReport:
     """Median modular-transformation residual shrinks as the word limit grows.
 
     Meaningful only where the truncated series is not identically zero;
@@ -491,16 +479,14 @@ def check_zeta_nonvanishing(n: int = 4, order: int = 3, radii=(6, 8),
 
 
 def check_abscissa(n: int = 4, p: int = 1, word_limit: int = 8,
-                   alphas=(3.5, 1.5), thresholds: dict | None = None) -> VerificationReport:
+                   alphas=(3.5, 1.5)) -> VerificationReport:
     """Coset norm sums: increments decay above the abscissa p + 1 and
     fail to decay below it."""
     t0 = time.perf_counter()
-    group = GroupDescriptor.full(n, p)
     notes = []
     ok = True
-    for alpha in alphas:
-        rep = tail_report(coset_norm_sums(group, alpha, word_limit))
-        should_decay = alpha > p + 1
+    for alpha, rep in abscissa_diagnostic(GroupDescriptor.full(n, p), alphas, word_limit).items():
+        should_decay = not rep["below_abscissa"]
         ok &= rep["tail_decreasing"] == should_decay
         notes.append(f"alpha={alpha}: tail_ratio={rep['tail_ratio']:.3f} "
                      f"{'decays' if rep['tail_decreasing'] else 'grows'}"
@@ -515,25 +501,26 @@ def check_abscissa(n: int = 4, p: int = 1, word_limit: int = 8,
 # ---- orchestration -------------------------------------------------------------
 
 CHECK_BUILDERS = {
-    "clifford": lambda seed, thr: check_clifford_relations(seed=seed, thresholds=thr),
+    "clifford": lambda seed, thr: check_clifford_relations(seed=seed),
     "mobius": lambda seed, thr: check_mobius_homomorphism(seed=seed, pairs=50, points=5, thresholds=thr),
     "kernel": lambda seed, thr: check_kernel_multiplicativity(seed=seed, pairs=200, thresholds=thr),
     "monogenic": lambda seed, thr: check_kernel_monogenicity(seed=seed, thresholds=thr),
     "jets": lambda seed, thr: check_jet_vs_fd(seed=seed, points=10, thresholds=thr),
-    "cosets": lambda seed, thr: check_coset_counts(thresholds=thr),
+    "cosets": lambda seed, thr: check_coset_counts(),
     "limits": lambda seed, thr: check_limits("scalar", n=5, p=1, s=2, thresholds=thr),
     "collapse": lambda seed, thr: check_cancellation(thresholds=thr),
-    "automorphy": lambda seed, thr: check_automorphy("scalar", n=5, p=1, s=2, seed=seed, thresholds=thr),
+    "automorphy": lambda seed, thr: check_automorphy("scalar", n=5, p=1, s=2, seed=seed),
     "polymono": lambda seed, thr: check_series_monogenicity(seed=seed, thresholds=thr),
     "zeta": lambda seed, thr: check_zeta_nonvanishing(radii=(4, 6), thresholds=thr),
-    "abscissa": lambda seed, thr: check_abscissa(thresholds=thr),
+    "abscissa": lambda seed, thr: check_abscissa(),
 }
 
 
 def run_checks(names=None, seed: int = 0, thresholds: dict | None = None,
                deterministic: bool = False) -> list[VerificationReport]:
     """Run the named checks (all by default) and return their reports.
-    Bad check names and threshold overrides raise ValueError first."""
+    Bad check names and threshold overrides (unknown, non-finite or negative
+    values, a pair with lo > hi) raise ValueError first."""
     names = list(CHECK_BUILDERS) if names is None else list(names)
     unknown = [k for k in names if k not in CHECK_BUILDERS]
     if unknown:
@@ -544,8 +531,10 @@ def run_checks(names=None, seed: int = 0, thresholds: dict | None = None,
         pair = isinstance(DEFAULT_THRESHOLDS[key], tuple)
         if pair and not (isinstance(value, tuple) and len(value) == 2):
             raise ValueError(f"threshold {key!r} takes a pair (lo, hi), got {value!r}")
-        if not all(map(math.isfinite, value if pair else (value,))):
-            raise ValueError(f"threshold {key!r} must be finite, got {value!r}")
+        if not all(math.isfinite(v) and v >= 0 for v in (value if pair else (value,))):
+            raise ValueError(f"threshold {key!r} must be finite and >= 0, got {value!r}")
+        if pair and value[0] > value[1]:
+            raise ValueError(f"threshold {key!r} takes a pair (lo, hi) with lo <= hi, got {value!r}")
     reports = []
     for name in names:
         rep = CHECK_BUILDERS[name](seed, thresholds)

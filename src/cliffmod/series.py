@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -275,7 +274,7 @@ def _coset_row(rep: CosetRep) -> _CosetRow:
     c_sq = m.c.norm_sq()
     if m.c.conjugate() * m.c != Multivector.scalar(m.dim, c_sq):
         raise ValueError(f"coset row with c = {m.c} breaks conj(c) c = |c|^2")
-    shift = m.c.conjugate() * m.d / Fraction(c_sq)
+    shift = m.c.conjugate() * m.d / c_sq
     if not shift.is_vector():
         raise ValueError(f"coset row with c^-1 d = {shift} is not a Vahlen bottom row")
     return _CosetRow(rep, math.sqrt(c_sq), m.c.reverse().to_float(),

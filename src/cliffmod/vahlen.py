@@ -18,11 +18,19 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .clifford import Multivector, vector_inverse, _EXACT_TYPES
+from .clifford import Multivector, clifford_group_inverse, vector_inverse, _EXACT_TYPES
 
 
 # Relative tolerance of the float Vahlen conditions and Moebius grade residues.
 FLOAT_TOL = 1e-10
+
+
+def _vanishes(v: Multivector, scale: Multivector | None = None) -> bool:
+    """The one vanishing rule of the group side: exact v must be 0; float v
+    must have |v| <= FLOAT_TOL * max(1, |scale|)."""
+    if v.is_exact:
+        return v.is_zero()
+    return v.norm() <= FLOAT_TOL * max(1.0, 0.0 if scale is None else scale.norm())
 
 
 class GradedResidueError(ArithmeticError):
@@ -110,7 +118,9 @@ def make_inversion(n: int) -> VahlenMatrix:
 
 
 def make_rotation(units) -> VahlenMatrix:
-    """Product of R_u = (reverse(u) 0; 0 u^{-1}) over unit vectors u."""
+    """Product of R_u = (reverse(u) 0; 0 u^{-1}) over unit vectors u.
+
+    An exact u must have |u|^2 == 1; a float u, |u|^2 within 1e-12 of 1."""
     factors = list(units)
     if not factors:
         raise ValueError("make_rotation needs at least one unit vector")
@@ -119,7 +129,8 @@ def make_rotation(units) -> VahlenMatrix:
         if not u.is_vector() or u.is_zero():
             raise ValueError("rotation factors must be nonzero vectors")
         nsq = u.norm_sq()
-        if not math.isclose(float(nsq), 1.0, rel_tol=0, abs_tol=1e-12):
+        unit = nsq == 1 if u.is_exact else math.isclose(nsq, 1.0, rel_tol=0, abs_tol=1e-12)
+        if not unit:
             raise ValueError(f"rotation factor must be a unit vector, |u|^2 = {nsq}")
         zero = Multivector.zero(u.dim)
         step = VahlenMatrix(u.reverse(), zero, zero, vector_inverse(u),
@@ -204,34 +215,20 @@ def is_vahlen(m: VahlenMatrix):
     vectors), and None ("unknown") when all pass but there is no word.
     """
     pd = pseudo_det(m)
-    if m.is_exact():
-        if pd.grade_project(0) != pd or pd.is_zero():
-            return False
-    else:
-        sc = pd.scalar_part()
-        off_scalar = (pd - pd.grade_project(0)).norm()
-        if abs(float(sc)) <= FLOAT_TOL or off_scalar > FLOAT_TOL * max(1.0, pd.norm()):
-            return False
+    sc = pd.grade_project(0)
+    if _vanishes(sc) or not _vanishes(pd - sc, pd):
+        return False
+    one = Multivector.scalar(m.dim, 1)
     for u, v in ((m.a, m.b), (m.d, m.c)):
         # a^{-1} b and d^{-1} c must be vectors when defined
         if u.is_zero():
             continue
-        denom = (u.conjugate() * u).scalar_part()
-        if denom == 0:
-            return False
-        u_inv = u.conjugate() / (Fraction(denom) if u.is_exact else float(denom))
-        check = u_inv * u
-        if m.is_exact():
-            if check != Multivector.scalar(m.dim, 1):
-                return False
-        elif (check - Multivector.scalar(m.dim, 1.0)).norm() > FLOAT_TOL:
+        try:
+            u_inv = clifford_group_inverse(u)
+        except ValueError:
             return False
         w = u_inv * v
-        residue = w - w.grade_project(1)
-        if m.is_exact():
-            if not residue.is_zero():
-                return False
-        elif residue.norm() > FLOAT_TOL * max(1.0, w.norm()):
+        if not _vanishes(u_inv * u - one) or not _vanishes(w - w.grade_project(1), w):
             return False
     return True if m.word is not None else None
 
@@ -244,8 +241,9 @@ def mobius_apply(m: VahlenMatrix, x: Multivector) -> Multivector:
 
     The product is computed in the full algebra and then projected onto
     grade 1; for genuine group elements the residue vanishes, and a
-    residue above `FLOAT_TOL` (relative) raises GradedResidueError.  A
-    non-invertible denominator raises ValueError.
+    residue that does not vanish (exactly, or within `FLOAT_TOL` relative
+    for floats) raises GradedResidueError.  A zero denominator, or a float
+    one with |c x + d|^2 < 1e-14, raises ValueError.
     """
     if not x.is_vector():
         raise ValueError("Moebius action is defined on grade-1 arguments")
@@ -253,23 +251,12 @@ def mobius_apply(m: VahlenMatrix, x: Multivector) -> Multivector:
         raise ValueError(f"dimension mismatch: point in dim {x.dim}, matrix in dim {m.dim}")
     den = m.c * x + m.d
     sc = (den.conjugate() * den).scalar_part()
-    exact = not isinstance(sc, float)
-    if exact:
-        if sc == 0:
-            raise ValueError("denominator c x + d is not invertible at this point")
-        den_inv = den.conjugate() / Fraction(sc)
-    else:
-        if abs(sc) < 1e-14:
-            raise ValueError("denominator c x + d is numerically singular at this point")
-        den_inv = den.conjugate() / sc
-    full = (m.a * x + m.b) * den_inv
+    if sc == 0 or isinstance(sc, float) and abs(sc) < 1e-14:
+        raise ValueError(f"denominator c x + d is not invertible at this point (|c x + d|^2 = {sc})")
+    full = (m.a * x + m.b) * (den.conjugate() / sc)
     image = full.grade_project(1)
-    residue = (full - image).norm()
-    if exact and full.is_exact:
-        if residue != 0:
-            raise GradedResidueError(f"exact Moebius image has grade residue {full - image}")
-    elif residue > FLOAT_TOL * max(1.0, full.norm()):
-        raise GradedResidueError(f"Moebius image residue {residue:.3e} exceeds tolerance")
+    if not _vanishes(full - image, full):
+        raise GradedResidueError(f"Moebius image has grade residue {(full - image).norm():.3e}")
     return image
 
 

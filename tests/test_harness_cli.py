@@ -195,6 +195,21 @@ def _one_line_usage_error(capsys, argv) -> str:
 def test_cli_verify_refuses_an_unknown_threshold(capsys):
     err = _one_line_usage_error(capsys, ["verify", "--check", "kernel", "--threshold", "nope=1"])
     assert "'nope'" in err
+    # no check reads a clifford_relations tolerance: the relations are exact
+    err = _one_line_usage_error(capsys, ["verify", "--check", "clifford",
+                                         "--threshold", "clifford_relations=7"])
+    assert "'clifford_relations'" in err
+
+
+def test_cli_verify_refuses_a_negative_threshold(capsys):
+    err = _one_line_usage_error(capsys, ["verify", "--check", "monogenic",
+                                         "--threshold", "kernel_monogenicity=-1"])
+    assert ">= 0" in err
+
+
+def test_run_checks_refuses_a_pair_threshold_with_lo_above_hi():
+    with pytest.raises(ValueError, match="lo <= hi"):
+        run_checks(["monogenic"], thresholds={"kernel_monogenicity_ratio": (5.0, 3.0)})
 
 
 def test_cli_verify_refuses_a_scalar_for_a_pair_threshold(capsys):

@@ -1,8 +1,12 @@
 """Property tests (hypothesis): exact multivectors round-trip through
-their string form, exact generator words times their inverses are the
-identity, word balls grow by prefix, coset keys do not see a left
-translation by the group's translation lattice, and the indexed jet
-product agrees with a naive convolution of multi-index dicts."""
+their string form, exact products associate and both involutions reverse
+them, exact generator words times their inverses are the identity, the
+exact Moebius action is a homomorphism on rational points, word balls
+grow by prefix, coset keys do not see a left translation by the group's
+translation lattice, and the indexed jet product agrees with a naive
+convolution of multi-index dicts."""
+
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -11,25 +15,32 @@ from cliffmod.congruence import (GroupDescriptor, bottom_row_key, gamma_ball, is
                                  translation_lattice)
 from cliffmod.harness import random_word_matrix
 from cliffmod.jets import Jet, multi_indices_upto
-from cliffmod.vahlen import VahlenMatrix, make_translation, mat_inv, mat_mul
+from cliffmod.vahlen import VahlenMatrix, make_translation, mat_inv, mat_mul, mobius_apply
 
 
 _EXACT_COEFF = st.one_of(st.integers(-10 ** 6, 10 ** 6),
                          st.fractions(max_denominator=10 ** 4).filter(lambda c: abs(c) < 10 ** 6))
 
 
-@st.composite
-def _exact_multivectors(draw):
-    dim = draw(st.integers(1, MAX_DIM))
-    coeffs = draw(st.dictionaries(st.integers(0, (1 << dim) - 1), _EXACT_COEFF, max_size=6))
-    return Multivector(dim, coeffs)
+def _exact_multivectors_in(dim: int):
+    return st.dictionaries(st.integers(0, (1 << dim) - 1), _EXACT_COEFF,
+                           max_size=6).map(lambda coeffs: Multivector(dim, coeffs))
 
 
 @settings(max_examples=100, deadline=None)
-@given(_exact_multivectors())
+@given(st.integers(1, MAX_DIM).flatmap(_exact_multivectors_in))
 def test_exact_multivectors_round_trip_through_their_string_form(v):
     back = Multivector.from_string(v.dim, v.to_string())
     assert back == v and back.to_string() == v.to_string()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, MAX_DIM).flatmap(lambda dim: st.tuples(*[_exact_multivectors_in(dim)] * 3)))
+def test_exact_products_associate_and_both_involutions_reverse_them(abc):
+    a, b, c = abc
+    assert (a * b) * c == a * (b * c)
+    assert (a * b).conjugate() == b.conjugate() * a.conjugate()
+    assert (a * b).reverse() == b.reverse() * a.reverse()
 
 
 @settings(max_examples=60, deadline=None)
@@ -40,6 +51,20 @@ def test_exact_generator_words_times_their_inverses_are_the_identity(n_p, rng):
     identity = VahlenMatrix.identity(m.dim)
     assert mat_mul(m, mat_inv(m)).entries_equal(identity)
     assert mat_mul(mat_inv(m), m).entries_equal(identity)
+
+
+_RATIONAL = st.fractions(min_value=-10, max_value=10, max_denominator=50)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(4, 1), (5, 2)]), st.randoms(use_true_random=False), st.data())
+def test_exact_moebius_action_is_a_homomorphism_on_rational_points(n_p, rng, data):
+    n, p = n_p
+    m1, m2 = random_word_matrix(rng, n, p, max_len=6), random_word_matrix(rng, n, p, max_len=6)
+    base = data.draw(st.lists(_RATIONAL, min_size=n - 1, max_size=n - 1))
+    x_n = data.draw(st.fractions(min_value=Fraction(1, 50), max_value=10, max_denominator=50))
+    x = Multivector.vector(base + [x_n])
+    assert mobius_apply(mat_mul(m1, m2), x) == mobius_apply(m1, mobius_apply(m2, x))
 
 
 # (p, largest word length) pairs that keep each example cheap

@@ -58,6 +58,17 @@ def test_rotation_preserves_norm_and_is_vahlen():
         make_rotation([])
 
 
+def test_make_rotation_judges_an_exact_factor_exactly():
+    # |u|^2 - 1 = 9e-14 is within the float tolerance, but R_u would not preserve |x|
+    near = Multivector.vector([Fraction(3, 5), Fraction(4, 5), Fraction(3, 10 ** 7), Fraction(0)])
+    with pytest.raises(ValueError, match="unit vector"):
+        make_rotation([near])
+    assert is_vahlen(make_rotation([near.to_float()])) is True  # floats keep the 1e-12 tolerance
+    r = make_rotation([Multivector.vector([Fraction(3, 5), Fraction(4, 5), Fraction(0), Fraction(0)])])
+    x = Multivector.vector([Fraction(1, 2), Fraction(0), Fraction(0), Fraction(2)])
+    assert mobius_apply(r, x).norm_sq() == x.norm_sq()
+
+
 def test_pseudo_det_of_words_is_one():
     rng = random.Random(0)
     for _ in range(50):
@@ -115,6 +126,24 @@ def test_is_vahlen_three_states():
     assert is_vahlen(nonvec) is False  # a^{-1} b is not a vector
 
 
+@pytest.mark.parametrize("eps, verdict", [(1e-9, False), (1e-12, None)])
+def test_float_pseudo_det_off_scalar_part_boundary(eps, verdict):
+    n = 4
+    one, zero = Multivector.scalar(n, 1.0), Multivector.zero(n)
+    a = one + Multivector.blade(n, (1, 2), eps)  # pseudo-determinant 1 + eps e12
+    assert is_vahlen(VahlenMatrix(a, zero, zero, one)) is verdict
+
+
+def test_float_vanishing_rule_is_relative_to_the_scale():
+    # at |x| ~ 1e8 roundoff leaves grade residues near 1e-9, above FLOAT_TOL in absolute terms
+    big = 1e8
+    r = make_rotation([Multivector.vector([0.6, 0.8, 0.0, 0.0]), Multivector.vector([0.0, 0.6, 0.0, 0.8])])
+    x = Multivector.vector([0.3 * big, -0.7 * big, 0.2 * big, 0.9 * big])
+    assert math.isclose(mobius_apply(r, x).norm(), x.norm(), rel_tol=1e-12)
+    far = mat_mul(r, make_translation(Multivector.vector([0.3 * big, -0.7 * big, 0.2 * big, 0.0])))
+    assert is_vahlen(far) is True
+
+
 def test_mobius_homomorphism_exact():
     rng = random.Random(2)
     x = Multivector.vector([Fraction(1, 3), Fraction(-1, 2), Fraction(0), Fraction(2)])
@@ -153,6 +182,11 @@ def test_mobius_errors():
     j = make_inversion(n)
     with pytest.raises(ValueError):
         mobius_apply(j, Multivector.zero(n))  # denominator x not invertible at 0
+    with pytest.raises(ValueError):
+        mobius_apply(j.to_float(), Multivector.vector([0.0, 0.0, 0.0, 1e-8]))  # |x|^2 < 1e-14
+    assert math.isclose(mobius_apply(j.to_float(), Multivector.vector([0.0, 0.0, 0.0, 1e-6])).component(n), 1e6)
+    tiny = Fraction(1, 10 ** 8)  # exact input is refused only at an exact zero
+    assert mobius_apply(j, Multivector.vector([0, 0, 0, tiny])) == Multivector.vector([0, 0, 0, 1 / tiny])
     with pytest.raises(ValueError):
         mobius_apply(j, Multivector.scalar(n, 1))  # not grade 1
     with pytest.raises(ValueError):
