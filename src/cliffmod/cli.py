@@ -7,9 +7,10 @@ Subcommands:
 - `verify`: run named verification checks (or --all); exit 1 on failure
 - `limits`: check the large-x_n limit of a series against its coset count
 
-Output is JSON by default (`--out csv` for flat tables, `--outfile` to
-write to a file).  With `--deterministic`, runtimes are zeroed and keys
-sorted so repeated runs are byte-identical.  Exit codes: 0 success /
+Every subcommand writes through `_write`: JSON by default (`--out csv`
+for flat tables, `--outfile` to write to a file).  `verify` and `limits`
+share the report driver `_report`.  With `--deterministic`, runtimes are
+zeroed and keys sorted so repeated runs are byte-identical.  Exit codes: 0 success /
 all checks pass, 1 a check or limit failed, 2 usage or parameter error.
 """
 
@@ -104,17 +105,31 @@ def _json_dumps(obj, deterministic: bool) -> str:
     return json.dumps(obj, indent=2, sort_keys=deterministic)
 
 
-def _emit_reports(reports, payload: dict, args):
-    """`payload` as JSON, or with `--out csv` the reports as one table."""
+def _write(args, payload: dict, header: list[str], rows):
+    """The one output path: `payload` as JSON, or with `--out csv` the table
+    `header` + `rows`, to `--outfile` or stdout."""
     if args.out == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
-        w.writerow(["check", "pass", *_REPORT_FIELDS, "seconds"])
-        for r in reports:
-            w.writerow([r.check, r.passed, *(getattr(r, k) for k in _REPORT_FIELDS), r.seconds])
-        _emit(buf.getvalue(), args.outfile)
+        w.writerow(header)
+        w.writerows(rows)
+        text = buf.getvalue()
     else:
-        _emit(_json_dumps(payload, args.deterministic), args.outfile)
+        text = _json_dumps(payload, args.deterministic)
+    _emit(text, args.outfile)
+
+
+def _report(args, reports, payload) -> int:
+    """The one report driver of `verify` and `limits`: summary lines to
+    stderr, runtimes zeroed under `--deterministic`, then `payload(reports)`
+    or the reports as one table; exit 1 when a report failed."""
+    for rep in reports:
+        if args.deterministic:
+            rep.seconds = 0.0
+        print(rep.summary_line(), file=sys.stderr)
+    _write(args, payload(reports), ["check", "pass", *_REPORT_FIELDS, "seconds"],
+           ([r.check, r.passed, *(getattr(r, k) for k in _REPORT_FIELDS), r.seconds] for r in reports))
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def _parse_multi_index(text: str, n: int) -> tuple[int, ...]:
@@ -161,6 +176,9 @@ def _result_json(res) -> dict:
 # ---- subcommand drivers -----------------------------------------------------
 
 
+_COSET_COLUMNS = ["word_length", "height", "c_zero", "a", "b", "c", "d"]
+
+
 def _run_cosets(args) -> int:
     group = GroupDescriptor(args.n, args.p, args.group, args.level)
     reps = enumerate_cosets(group, args.maxlen)
@@ -172,23 +190,15 @@ def _run_cosets(args) -> int:
         "c": r.matrix.c.to_string(), "d": r.matrix.d.to_string(),
         "word": list(r.matrix.word),
     } for r in reps]
-    if args.out == "csv":
-        buf = io.StringIO()
-        w = csv.DictWriter(buf, fieldnames=["word_length", "height", "c_zero", "a", "b", "c", "d"])
-        w.writeheader()
-        for row in rows:
-            w.writerow({k: row[k] for k in w.fieldnames})
-        _emit(buf.getvalue(), args.outfile)
-    else:
-        payload = {
-            "group": group.label, "n": group.n, "p": group.p, "maxlen": args.maxlen,
-            "count": len(rows),
-            "count_c_zero": sum(1 for r in rows if r["c_zero"]),
-            "contains_neg_identity": contains_neg_identity(group),
-            "translation_lattice_scale": translation_lattice(group).scale,
-            "cosets": rows,
-        }
-        _emit(_json_dumps(payload, args.deterministic), args.outfile)
+    payload = {
+        "group": group.label, "n": group.n, "p": group.p, "maxlen": args.maxlen,
+        "count": len(rows),
+        "count_c_zero": sum(1 for r in rows if r["c_zero"]),
+        "contains_neg_identity": contains_neg_identity(group),
+        "translation_lattice_scale": translation_lattice(group).scale,
+        "cosets": rows,
+    }
+    _write(args, payload, _COSET_COLUMNS, ([row[k] for k in _COSET_COLUMNS] for row in rows))
     return 0
 
 
@@ -205,24 +215,18 @@ def _run_eval(args) -> int:
     else:
         ypts = pts if spec.two_sided else [None] * len(pts)
     results = [(x, y, evaluate(spec, x, y)) for x, y in zip(pts, ypts)]
-    if args.out == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["point", "second_point", "value"])
-        for x, y, res in results:
-            w.writerow([x.to_string(), "" if y is None else y.to_string(), res.value.to_string()])
-        _emit(buf.getvalue(), args.outfile)
-    else:
-        payload = {
-            "series": args.series, "group": group.label,
-            "spec": {"s": args.s, "t": args.t, "m": list(m) if m else None,
-                     "word_limit": args.maxlen, "box_radius": args.box},
-            "results": [dict({"point": _mv_json(x)},
-                             **({} if y is None else {"second_point": _mv_json(y)}),
-                             **_result_json(res))
-                        for x, y, res in results],
-        }
-        _emit(_json_dumps(payload, args.deterministic), args.outfile)
+    payload = {
+        "series": args.series, "group": group.label,
+        "spec": {"s": args.s, "t": args.t, "m": list(m) if m else None,
+                 "word_limit": args.maxlen, "box_radius": args.box},
+        "results": [dict({"point": _mv_json(x)},
+                         **({} if y is None else {"second_point": _mv_json(y)}),
+                         **_result_json(res))
+                    for x, y, res in results],
+    }
+    _write(args, payload, ["point", "second_point", "value"],
+           ([x.to_string(), "" if y is None else y.to_string(), res.value.to_string()]
+            for x, y, res in results))
     return 0
 
 
@@ -246,16 +250,12 @@ def _run_verify(args) -> int:
     seed = 0 if args.deterministic else args.seed
     reports = run_checks(names, seed=seed, thresholds=thresholds,
                          deterministic=args.deterministic)
-    for rep in reports:
-        print(rep.summary_line(), file=sys.stderr)
-    payload = {
+    return _report(args, reports, lambda reps: {
         "thresholds_version": THRESHOLDS_VERSION,
         "seed": seed,
-        "all_passed": all(r.passed for r in reports),
-        "reports": [r.to_json_dict() for r in reports],
-    }
-    _emit_reports(reports, payload, args)
-    return 0 if payload["all_passed"] else 1
+        "all_passed": all(r.passed for r in reps),
+        "reports": [r.to_json_dict() for r in reps],
+    })
 
 
 def _run_limits(args) -> int:
@@ -266,11 +266,7 @@ def _run_limits(args) -> int:
     rep = check_limits(args.series, n=args.n, p=args.p, s=args.s, t=args.t,
                        level=args.level, variant=args.group,
                        word_limit=args.maxlen, t_values=tvals)
-    if args.deterministic:
-        rep.seconds = 0.0
-    print(rep.summary_line(), file=sys.stderr)
-    _emit_reports([rep], rep.to_json_dict(), args)
-    return 0 if rep.passed else 1
+    return _report(args, [rep], lambda reps: reps[0].to_json_dict())
 
 
 def main(argv=None) -> int:

@@ -28,7 +28,7 @@ from itertools import count
 from typing import NamedTuple
 
 from .clifford import Multivector
-from .vahlen import VahlenMatrix, make_inversion, make_translation, mat_inv, mat_mul
+from .vahlen import VahlenMatrix, _translation_offset, make_inversion, make_translation, mat_inv, mat_mul
 
 
 def _residue(m: VahlenMatrix, modulus: int, entries: str) -> tuple[frozenset, ...]:
@@ -152,14 +152,12 @@ def certified_in_gamma(m: VahlenMatrix, p: int) -> bool:
     for tok in m.word:
         if tok == "J":
             continue
-        if tok.startswith("T(") and tok.endswith(")"):
-            try:
-                b = Multivector.from_string(m.dim, tok[2:-1])
-            except ValueError:
-                return False
-            if b.is_vector() and b.is_exact and in_order(b, p):
-                continue
-        return False
+        try:
+            b = _translation_offset(tok, m.dim)
+        except ValueError:
+            return False
+        if b is None or not (b.is_vector() and b.is_exact and in_order(b, p)):
+            return False
     return True
 
 

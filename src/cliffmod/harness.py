@@ -227,8 +227,7 @@ def check_kernel_monogenicity(n: int = 4, s: int = 1, h: float = 1e-4, points: i
     worst = 0.0
     ratios = []
     for _ in range(points):
-        x = Multivector.vector([rng.uniform(-1.0, 1.0) for _ in range(n - 1)]
-                               + [rng.uniform(1.0, 1.8)])
+        x = sample_strip_point(rng, n, xn_range=(1.0, 1.8))
         r1 = dirac_fd(lambda y: q0(y, s), x, h).norm()
         r2 = dirac_fd(lambda y: q0(y, s), x, h / 2).norm()
         worst = max(worst, r1)
@@ -278,7 +277,8 @@ def check_coset_counts(n: int = 4, p: int = 1, word_limit: int = 6) -> Verificat
     ok = True
 
     full = GroupDescriptor.full(n, p)
-    full_c0 = sum(1 for r in enumerate_cosets(full, word_limit) if r.is_c_zero())
+    reps = enumerate_cosets(full, word_limit)
+    full_c0 = sum(1 for r in reps if r.is_c_zero())
     expect_full = 2 ** (p + 1)
     ok &= full_c0 == expect_full
     notes.append(f"full c0={full_c0}/{expect_full}")
@@ -304,7 +304,6 @@ def check_coset_counts(n: int = 4, p: int = 1, word_limit: int = 6) -> Verificat
     notes.append(f"theta c0={theta_c0} oracle={len(classes)}")
 
     # key agreement with the pairwise oracle on the full group's ball
-    reps = enumerate_cosets(full, word_limit)
     mats = [r.matrix for r in reps]
     keys = [r.key for r in reps]
     agree = all((keys[i] == keys[j]) == same_coset(mats[i], mats[j], full)
@@ -356,7 +355,7 @@ def check_limits(kind: str, n: int, p: int, s: int, t: int | None = None,
     dt = time.perf_counter() - t0
     return VerificationReport(
         check=f"limit_{kind}",
-        params={"n": n, "p": p, "s": s, "t": t, "level": level,
+        params={"n": n, "p": p, "s": s, "t": t, "group": group.label, "level": level,
                 "word_limit": word_limit, "t_values": list(t_values)},
         passed=ok, residual=errors[-1], threshold=tol, target=target, seconds=dt,
         note="errors " + ", ".join(f"{e:.3e}" for e in errors)
@@ -440,8 +439,7 @@ def check_series_monogenicity(n: int = 5, p: int = 1, s: int = 2, h: float = 1e-
     tol = _threshold(thresholds, "series_monogenicity")
     group = GroupDescriptor.full(n, p)
     spec = SeriesSpec("scalar", group, s=s, word_limit=word_limit)
-    pts = [Multivector.vector([rng.uniform(-0.5, 0.5) for _ in range(n - 1)]
-                              + [rng.uniform(1.1, 1.7)]) for _ in range(points)]
+    pts = [sample_strip_point(rng, n, xn_range=(1.1, 1.7), base_radius=0.5) for _ in range(points)]
     f = lambda y: scalar_eisenstein(y, spec).value
     resids = [dirac_power_fd(f, x, h, s, min_last_coord=0.0).norm() for x in pts]
     worst = max(resids)

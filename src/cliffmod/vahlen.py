@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .clifford import Multivector, clifford_group_inverse, vector_inverse, _EXACT_TYPES
+from .clifford import Multivector, clifford_group_inverse, vector_inverse
 
 
 # Relative tolerance of the float Vahlen conditions and Moebius grade residues.
@@ -80,12 +79,6 @@ class VahlenMatrix:
         word = ("J", "J") + self.word if self.word is not None else None
         return VahlenMatrix(-self.a, -self.b, -self.c, -self.d, word=word)
 
-    def inverse(self) -> "VahlenMatrix":
-        return mat_inv(self)
-
-    def pseudo_det(self) -> Multivector:
-        return pseudo_det(self)
-
     def entries_equal(self, other: "VahlenMatrix") -> bool:
         """Entrywise equality, ignoring provenance words."""
         return self.entries() == other.entries()
@@ -143,15 +136,18 @@ def make_dilatation(n: int, alpha) -> VahlenMatrix:
     """D_alpha = (alpha 0; 0 1/alpha) for real alpha != 0; acts as x -> alpha^2 x."""
     if alpha == 0:
         raise ValueError("dilatation factor must be nonzero")
-    if isinstance(alpha, _EXACT_TYPES):
-        inv = Fraction(1, 1) / Fraction(alpha)
-    elif isinstance(alpha, float):
-        inv = 1.0 / alpha
-    else:
-        raise TypeError("dilatation factor must be a real scalar")
+    a = Multivector.scalar(n, alpha)  # a non-real alpha raises TypeError here
     zero = Multivector.zero(n)
-    return VahlenMatrix(Multivector.scalar(n, alpha), zero, zero, Multivector.scalar(n, inv),
+    return VahlenMatrix(a, zero, zero, Multivector.scalar(n, 1) / alpha,
                         word=(f"D({_format_scalar(alpha)})",))
+
+
+def _translation_offset(tok: str, n: int) -> Multivector | None:
+    """The offset b of a provenance token `T(b)`, None for any other token;
+    a `T(...)` token whose offset does not parse raises ValueError."""
+    if tok.startswith("T(") and tok.endswith(")"):
+        return Multivector.from_string(n, tok[2:-1])
+    return None
 
 
 def _format_scalar(a) -> str:
@@ -187,17 +183,14 @@ def mat_inv(m: VahlenMatrix) -> VahlenMatrix:
     word = None
     if m.word is not None:
         toks: list[str] = []
-        ok = True
         for tok in reversed(m.word):
             if tok == "J":
                 toks.extend(["J", "J", "J"])
-            elif tok.startswith("T(") and tok.endswith(")"):
-                inner = Multivector.from_string(m.dim, tok[2:-1])
-                toks.append(f"T({(-inner).to_string()})")
+            elif (b := _translation_offset(tok, m.dim)) is not None:
+                toks.append(f"T({(-b).to_string()})")
             else:
-                ok = False
                 break
-        if ok:
+        else:
             word = tuple(toks)
     return VahlenMatrix(m.d.reverse(), -m.b.reverse(), -m.c.reverse(), m.a.reverse(), word=word)
 
@@ -242,11 +235,13 @@ def mobius_apply(m: VahlenMatrix, x: Multivector) -> Multivector:
     The product is computed in the full algebra and then projected onto
     grade 1; for genuine group elements the residue vanishes, and a
     residue that does not vanish (exactly, or within `FLOAT_TOL` relative
-    for floats) raises GradedResidueError.  A zero denominator, or a float
-    one with |c x + d|^2 < 1e-14, raises ValueError.
+    for floats) raises GradedResidueError.  A non-finite point, a zero
+    denominator, or a float one with |c x + d|^2 < 1e-14, raises ValueError.
     """
     if not x.is_vector():
         raise ValueError("Moebius action is defined on grade-1 arguments")
+    if any(isinstance(c, float) and not math.isfinite(c) for c in x.coeffs.values()):
+        raise ValueError("Moebius action is defined at points with finite coordinates")
     if x.dim != m.dim:
         raise ValueError(f"dimension mismatch: point in dim {x.dim}, matrix in dim {m.dim}")
     den = m.c * x + m.d

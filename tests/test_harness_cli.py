@@ -291,6 +291,37 @@ def test_cli_limits_csv_uses_the_verify_layout(tmp_path, capsys):
     capsys.readouterr()
 
 
+
+@pytest.mark.parametrize("group, label", [(["--group", "theta"], "Gamma_1_theta"),
+                                          (["--group", "principal", "--level", "3"], "Gamma_1[3]")])
+def test_cli_limits_report_names_its_group(tmp_path, capsys, group, label):
+    out = tmp_path / "limits.json"
+    assert main(["limits", "--n", "5", "--p", "1", "--series", "scalar", "--s", "2", "--maxlen", "8",
+                 "--tvals", "10,30", *group, "--outfile", str(out)]) == 0
+    assert json.loads(out.read_text())["params"]["group"] == label
+    capsys.readouterr()
+
+
+_SMALL_RUNS = {
+    "cosets": ["cosets", "--n", "4", "--p", "1", "--maxlen", "4"],
+    "eval": ["eval", "--n", "5", "--p", "1", "--series", "scalar", "--s", "2", "--maxlen", "3"],
+    "limits": ["limits", "--n", "5", "--p", "1", "--series", "scalar", "--s", "2", "--maxlen", "6",
+               "--tvals", "10,30"],
+    "verify": ["verify", "--check", "kernel"],
+}
+
+
+@pytest.mark.parametrize("out", ["json", "csv"])
+@pytest.mark.parametrize("command", list(_SMALL_RUNS))
+def test_cli_deterministic_output_is_byte_identical_for_every_subcommand(tmp_path, capsys, command, out):
+    argv = _SMALL_RUNS[command] + ["--out", out, "--deterministic"]
+    runs = []
+    for name in ("a", "b"):
+        path = tmp_path / f"{name}.{out}"
+        assert main(argv + ["--outfile", str(path)]) == 0
+        runs.append((path.read_bytes(), capsys.readouterr()))
+    assert runs[0] == runs[1]
+
 def test_cli_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from cliffmod.clifford import Multivector, clifford_group_inverse
+from cliffmod.congruence import certified_in_gamma
 from cliffmod.vahlen import (GradedResidueError, VahlenMatrix, in_half_space, in_strip,
                              is_vahlen, make_dilatation, make_inversion, make_rotation,
                              make_translation, mat_inv, mat_mul, mobius_apply, pseudo_det)
@@ -42,6 +43,22 @@ def test_generator_shapes_and_actions():
     with pytest.raises(ValueError):
         make_dilatation(n, 0)
 
+
+
+@pytest.mark.parametrize("alpha, inv", [(3, Fraction(1, 3)), (-7, Fraction(-1, 7)), (True, 1),
+                                        (Fraction(2, 3), Fraction(3, 2)), (0.5, 2.0), (1e-300, 1.0 / 1e-300)])
+def test_dilatation_inverse_entry_keeps_the_exactness_of_alpha(alpha, inv):
+    d = make_dilatation(4, alpha).d.scalar_part()
+    assert d == inv and isinstance(d, float) == isinstance(alpha, float)
+
+
+def test_dilatation_refuses_zero_and_a_non_real_factor():
+    for zero in (0, 0.0, Fraction(0)):
+        with pytest.raises(ValueError, match="nonzero"):
+            make_dilatation(4, zero)
+    for bad in (1j, "2", None):
+        with pytest.raises(TypeError):
+            make_dilatation(4, bad)
 
 def test_rotation_preserves_norm_and_is_vahlen():
     n = 4
@@ -110,6 +127,18 @@ def test_word_provenance_rules():
     assert (-m).word == ("J", "J", "T(e1)", "J")
     assert (-m).entries_equal(VahlenMatrix(-m.a, -m.b, -m.c, -m.d))
 
+
+
+def test_translation_tokens_are_read_alike_by_the_inverse_and_the_certificate():
+    n = 4
+    one = VahlenMatrix.identity(n).entries()
+    m = VahlenMatrix(*one, word=("T(2*e1)", "J", "T(-e1)"))
+    assert mat_inv(m).word == ("T(e1)", "J", "J", "J", "T(-2*e1)")
+    assert certified_in_gamma(m, 1)
+    garbled = VahlenMatrix(*one, word=("T(e1)", "T(x)"))
+    with pytest.raises(ValueError):
+        mat_inv(garbled)
+    assert not certified_in_gamma(garbled, 1)
 
 def test_is_vahlen_three_states():
     n = 4
@@ -196,6 +225,17 @@ def test_mobius_errors():
     with pytest.raises(GradedResidueError):
         mobius_apply(skew, Multivector.vector([1, 0, 0, 2]))
 
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_mobius_apply_refuses_a_non_finite_point(bad, exact):
+    n = 4
+    for m in (VahlenMatrix.identity(n), make_inversion(n)):
+        m = m if exact else m.to_float()
+        for x in ([0.0, 0.0, 0.0, bad], [bad, 0.5, 0.0, 1.0]):
+            with pytest.raises(ValueError, match="finite coordinates"):
+                mobius_apply(m, Multivector.vector(x))
 
 def test_in_strip():
     x = Multivector.vector([1.0, 0.0, 0.0, 0.5])
