@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"run one named check (repeatable); names: {', '.join(sorted(CHECK_BUILDERS))}")
     pv.add_argument("--seed", type=int, default=0, help="RNG seed for sampled checks")
     pv.add_argument("--threshold", action="append", default=None, metavar="NAME=VALUE",
-                    help="override a tolerance from the defaults table")
+                    help="override a tolerance from the defaults table; a pair is NAME=LO,HI")
     _add_output_args(pv)
 
     pl = sub.add_parser("limits", help="check the x_n -> infinity limit of a series")
@@ -152,8 +152,8 @@ def _load_points(path: str | None, n: int) -> list[Multivector]:
             raise ValueError("points file must hold a nonempty JSON list of coordinate lists")
     out = []
     for row in pts:
-        if not isinstance(row, list) or len(row) != n:
-            raise ValueError(f"each point needs {n} coordinates, got {row!r}")
+        if not isinstance(row, list) or len(row) != n or not all(type(c) in (int, float) for c in row):
+            raise ValueError(f"each point needs {n} JSON-number coordinates, got {row!r}")
         out.append(Multivector.vector([float(c) for c in row]))
     return out
 
@@ -238,7 +238,7 @@ def _parse_threshold_overrides(items) -> dict | None:
         if "=" not in item:
             raise ValueError(f"threshold override must look like NAME=VALUE, got {item!r}")
         name, value = item.split("=", 1)
-        out[name.strip()] = float(value)
+        out[name.strip()] = tuple(map(float, value.split(","))) if "," in value else float(value)
     return out
 
 

@@ -10,6 +10,7 @@ tolerances.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import statistics
@@ -77,6 +78,11 @@ class VerificationReport:
         return f"[{verdict}] {self.check}: " + "  ".join(bits)
 
 
+def _group(n: int, p: int, variant: str | None, level: int | None) -> GroupDescriptor:
+    """A check's group: a level on its own names the principal congruence subgroup."""
+    return GroupDescriptor(n, p, variant or ("principal" if level else "full"), level)
+
+
 def _require_c_nonzero_coset(group: GroupDescriptor, word_limit: int):
     """Refuse a truncation of only c = 0 cosets: a series over it is a
     constant, which says nothing about limits or automorphy."""
@@ -90,6 +96,24 @@ def _threshold(overrides: dict | None, key: str):
     if overrides and key in overrides:
         return overrides[key]
     return DEFAULT_THRESHOLDS[key]
+
+
+def _timed(check):
+    """Time each call of `check` into its report's `seconds`, rounded to 6 digits."""
+    @functools.wraps(check)
+    def timed(*args, **kwargs) -> VerificationReport:
+        t0 = time.perf_counter()
+        rep = check(*args, **kwargs)
+        rep.seconds = round(time.perf_counter() - t0, 6)
+        return rep
+    return timed
+
+
+def median_halving_ratio(coarse: list[float], fine: list[float]) -> float:
+    """Median over points of residual(h) / residual(h/2): about 4 where the
+    residual is the h^2 error of a central-difference stencil, about 1 where
+    it does not depend on h."""
+    return statistics.median(c / f if f else math.inf for c, f in zip(coarse, fine))
 
 
 # ---- samplers ----------------------------------------------------------------
@@ -126,10 +150,10 @@ def random_word_matrix(rng: random.Random, n: int, p: int, max_len: int = 6) -> 
 # ---- checks -------------------------------------------------------------------
 
 
+@_timed
 def check_clifford_relations(dims=(4, 8), samples: int = 1000, seed: int = 0) -> VerificationReport:
     """Generator relations exactly, plus random exact associativity and
     anti-automorphism identities on sparse multivectors."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = 0
     for n in dims:
@@ -158,17 +182,16 @@ def check_clifford_relations(dims=(4, 8), samples: int = 1000, seed: int = 0) ->
                 failures += 1
             if (a * b).reverse() != b.reverse() * a.reverse():
                 failures += 1
-    dt = time.perf_counter() - t0
     return VerificationReport(
         check="clifford_relations", params={"dims": list(dims), "samples": samples, "seed": seed},
-        passed=failures == 0, count=failures, target=0, seconds=dt,
+        passed=failures == 0, count=failures, target=0,
         note="exact relation/associativity/anti-automorphism failures")
 
 
+@_timed
 def check_mobius_homomorphism(n: int = 4, p: int = 1, pairs: int = 200, points: int = 20,
                               seed: int = 0, thresholds: dict | None = None) -> VerificationReport:
     """(M1 M2)<x> == M1<M2<x>> in floats, and images stay in the half-space."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     tol = _threshold(thresholds, "mobius_homomorphism")
     pts = [sample_strip_point(rng, n, xn_range=(0.3, 2.0), base_radius=2.0)
@@ -187,17 +210,16 @@ def check_mobius_homomorphism(n: int = 4, p: int = 1, pairs: int = 200, points: 
             worst = max(worst, (lhs - rhs).norm())
             if float(lhs.component(n)) <= 0 or float(mid.component(n)) <= 0:
                 halfspace_ok = False
-    dt = time.perf_counter() - t0
     return VerificationReport(
         check="mobius_homomorphism",
         params={"n": n, "p": p, "pairs": pairs, "points": points, "seed": seed},
-        passed=worst < tol and halfspace_ok, residual=worst, threshold=tol, seconds=dt,
+        passed=worst < tol and halfspace_ok, residual=worst, threshold=tol,
         note="" if halfspace_ok else "half-space violated")
 
 
+@_timed
 def check_kernel_multiplicativity(pairs: int = 500, dims=(4, 5), weights=(1, 2),
                                   seed: int = 0, thresholds: dict | None = None) -> VerificationReport:
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     tol = _threshold(thresholds, "kernel_multiplicativity")
     worst = 0.0
@@ -209,44 +231,39 @@ def check_kernel_multiplicativity(pairs: int = 500, dims=(4, 5), weights=(1, 2),
                 continue
             for s in weights:
                 worst = max(worst, kernel_multiplicativity_check(a, b, s))
-    dt = time.perf_counter() - t0
     return VerificationReport(
         check="kernel_multiplicativity",
         params={"pairs": pairs, "dims": list(dims), "weights": list(weights), "seed": seed},
-        passed=worst < tol, residual=worst, threshold=tol, seconds=dt)
+        passed=worst < tol, residual=worst, threshold=tol)
 
 
+@_timed
 def check_kernel_monogenicity(n: int = 4, s: int = 1, h: float = 1e-4, points: int = 10,
                               seed: int = 0, thresholds: dict | None = None) -> VerificationReport:
     """D q0 = 0 away from the origin, by central differences, with the
     h-halving ratio confirming the h^2 error model."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     tol = _threshold(thresholds, "kernel_monogenicity")
     lo, hi = _threshold(thresholds, "kernel_monogenicity_ratio")
-    worst = 0.0
-    ratios = []
-    for _ in range(points):
-        x = sample_strip_point(rng, n, xn_range=(1.0, 1.8))
-        r1 = dirac_fd(lambda y: q0(y, s), x, h).norm()
-        r2 = dirac_fd(lambda y: q0(y, s), x, h / 2).norm()
-        worst = max(worst, r1)
-        ratios.append(r1 / r2 if r2 else math.inf)
-    med_ratio = statistics.median(ratios)
+    pts = [sample_strip_point(rng, n, xn_range=(1.0, 1.8)) for _ in range(points)]
+    kernel = lambda y: q0(y, s)
+    coarse = [dirac_fd(kernel, x, h).norm() for x in pts]
+    fine = [dirac_fd(kernel, x, h / 2).norm() for x in pts]
+    worst = max(coarse)
+    med_ratio = median_halving_ratio(coarse, fine)
     ok = worst < tol and lo <= med_ratio <= hi
-    dt = time.perf_counter() - t0
     return VerificationReport(
         check="kernel_monogenicity",
         params={"n": n, "s": s, "h": h, "points": points, "seed": seed},
-        passed=ok, residual=worst, threshold=tol, seconds=dt,
+        passed=ok, residual=worst, threshold=tol,
         note=f"median halving ratio {med_ratio:.2f} (expect within [{lo}, {hi}])")
 
 
+@_timed
 def check_jet_vs_fd(n: int = 4, points: int = 50, max_order: int = 3, h: float = 1e-3,
                     s: int = 1, seed: int = 0, thresholds: dict | None = None) -> VerificationReport:
     """Jet-evaluated q_m against Richardson-extrapolated central differences."""
     from .jets import multi_indices_upto
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     tol = _threshold(thresholds, "jet_vs_fd_relative")
     worst = 0.0
@@ -262,17 +279,16 @@ def check_jet_vs_fd(n: int = 4, points: int = 50, max_order: int = 3, h: float =
             fd_val = fd_partial(lambda y: q0(y, s), x, m, h, richardson=True)
             rel = (jet_val - fd_val).norm() / max(1.0, jet_val.norm(), fd_val.norm())
             worst = max(worst, rel)
-    dt = time.perf_counter() - t0
     return VerificationReport(
         check="jet_vs_fd",
         params={"n": n, "points": points, "max_order": max_order, "h": h, "s": s, "seed": seed},
-        passed=worst < tol, residual=worst, threshold=tol, seconds=dt)
+        passed=worst < tol, residual=worst, threshold=tol)
 
 
+@_timed
 def check_coset_counts(n: int = 4, p: int = 1, word_limit: int = 6) -> VerificationReport:
     """c = 0 coset counts against the predicted values, the theta count
     against an oracle-derived partition, and key-vs-oracle agreement."""
-    t0 = time.perf_counter()
     notes = []
     ok = True
 
@@ -316,12 +332,12 @@ def check_coset_counts(n: int = 4, p: int = 1, word_limit: int = 6) -> Verificat
             agree &= bottom_row_key(shifted) == r.key and same_coset(shifted, r.matrix, full)
     ok &= agree
     notes.append(f"key-vs-oracle {'agree' if agree else 'DISAGREE'}")
-    dt = time.perf_counter() - t0
     return VerificationReport(
         check="coset_counts", params={"n": n, "p": p, "word_limit": word_limit},
-        passed=bool(ok), count=full_c0, target=expect_full, seconds=dt, note="; ".join(notes))
+        passed=bool(ok), count=full_c0, target=expect_full, note="; ".join(notes))
 
 
+@_timed
 def check_limits(kind: str, n: int, p: int, s: int, t: int | None = None,
                  level: int | None = None, variant: str | None = None,
                  word_limit: int = 8, t_values=(10, 30, 100),
@@ -330,7 +346,6 @@ def check_limits(kind: str, n: int, p: int, s: int, t: int | None = None,
     with strictly decreasing error.  A truncation without a c != 0 coset
     raises ValueError: its series is the count itself at every t.  So do
     fewer than two heights (one error decreases trivially) or a non-finite one."""
-    t0 = time.perf_counter()
     tol = _threshold(thresholds, "limit_final_error")
     try:
         heights = [float(tv) for tv in t_values]
@@ -340,8 +355,7 @@ def check_limits(kind: str, n: int, p: int, s: int, t: int | None = None,
         raise ValueError(f"the limit check needs at least two finite heights, got {heights}")
     if kind not in EISENSTEIN_KINDS:
         raise ValueError(f"no limit statement for series kind {kind!r}; choose from {EISENSTEIN_KINDS}")
-    # a level alone names the principal congruence subgroup
-    group = GroupDescriptor(n, p, variant or ("principal" if level else "full"), level)
+    group = _group(n, p, variant, level)
     spec = SeriesSpec(kind, group, s=s, t=t, word_limit=word_limit)
     _require_c_nonzero_coset(group, word_limit)
     errors = []
@@ -352,21 +366,20 @@ def check_limits(kind: str, n: int, p: int, s: int, t: int | None = None,
         errors.append((res.value - Multivector.scalar(n, float(target))).norm())
     decreasing = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
     ok = decreasing and errors[-1] < tol
-    dt = time.perf_counter() - t0
     return VerificationReport(
         check=f"limit_{kind}",
         params={"n": n, "p": p, "s": s, "t": t, "group": group.label, "level": level,
                 "word_limit": word_limit, "t_values": list(t_values)},
-        passed=ok, residual=errors[-1], threshold=tol, target=target, seconds=dt,
+        passed=ok, residual=errors[-1], threshold=tol, target=target,
         note="errors " + ", ".join(f"{e:.3e}" for e in errors)
              + ("" if decreasing else " (not strictly decreasing)"))
 
 
+@_timed
 def check_cancellation(n: int = 4, p: int = 1, s: int = 1, word_limit: int = 6,
                        thresholds: dict | None = None) -> VerificationReport:
     """Odd-weight series collapse to zero over every -I-containing variant,
     and do not collapse over principal[3]."""
-    t0 = time.perf_counter()
     tol = _threshold(thresholds, "oddweight_collapse")
     x = Multivector.vector(([0.25, -0.1, 0.3] + [0.05] * n)[:n - 1] + [1.2])
     groups = [GroupDescriptor.full(n, p), GroupDescriptor.principal(n, p, 2),
@@ -389,14 +402,14 @@ def check_cancellation(n: int = 4, p: int = 1, s: int = 1, word_limit: int = 6,
     nonzero = res3.value.norm() > 1e-3
     ok &= nonzero and not contains_neg_identity(g3)
     notes.append(f"{g3.label}: {res3.value.norm():.2e} (expect nonzero)")
-    dt = time.perf_counter() - t0
     return VerificationReport(
         check="oddweight_collapse", params={"n": n, "p": p, "s": s, "word_limit": word_limit},
-        passed=bool(ok), residual=worst, threshold=tol, seconds=dt, note="; ".join(notes))
+        passed=bool(ok), residual=worst, threshold=tol, note="; ".join(notes))
 
 
+@_timed
 def check_automorphy(kind: str, n: int, p: int, s: int, t: int | None = None,
-                     variant: str = "full", level: int | None = None,
+                     variant: str | None = None, level: int | None = None,
                      word_limits=(5, 8), n_elements: int = 10, n_points: int = 10,
                      seed: int = 0) -> VerificationReport:
     """Median modular-transformation residual shrinks as the word limit grows.
@@ -404,9 +417,8 @@ def check_automorphy(kind: str, n: int, p: int, s: int, t: int | None = None,
     Meaningful only where the truncated series is not identically zero;
     the odd-weight kind needs a group without -I (e.g. principal[3]).  A
     smallest truncation without a c != 0 coset raises ValueError."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
-    group = GroupDescriptor(n, p, variant, level)
+    group = _group(n, p, variant, level)
     _require_c_nonzero_coset(group, min(word_limits))
     mats = sample_group_elements(rng, group, n_elements, word_limit=4)
     pts = [sample_strip_point(rng, n, xn_range=(0.8, 1.8)) for _ in range(n_points)]
@@ -419,22 +431,21 @@ def check_automorphy(kind: str, n: int, p: int, s: int, t: int | None = None,
         resids = [automorphy_residual(spec, mf, x, y).norm() for mf in mfs for x, y in zip(pts, ys)]
         medians.append(statistics.median(resids))
     ok = all(medians[i + 1] < medians[i] for i in range(len(medians) - 1))
-    dt = time.perf_counter() - t0
     return VerificationReport(
         check=f"automorphy_{kind}",
         params={"n": n, "p": p, "s": s, "t": t, "group": group.label,
                 "word_limits": list(word_limits), "elements": n_elements,
                 "points": n_points, "seed": seed},
-        passed=ok, residual=medians[-1], seconds=dt,
+        passed=ok, residual=medians[-1],
         note="medians " + " -> ".join(f"{m:.3e}" for m in medians))
 
 
+@_timed
 def check_series_monogenicity(n: int = 5, p: int = 1, s: int = 2, h: float = 1e-2,
                               word_limit: int = 8, points: int = 10, seed: int = 0,
                               thresholds: dict | None = None) -> VerificationReport:
     """D^s annihilates the truncated scalar series, by nested central
     differences at interior points with stencil margin."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     tol = _threshold(thresholds, "series_monogenicity")
     group = GroupDescriptor.full(n, p)
@@ -443,20 +454,19 @@ def check_series_monogenicity(n: int = 5, p: int = 1, s: int = 2, h: float = 1e-
     f = lambda y: scalar_eisenstein(y, spec).value
     resids = [dirac_power_fd(f, x, h, s, min_last_coord=0.0).norm() for x in pts]
     worst = max(resids)
-    dt = time.perf_counter() - t0
     return VerificationReport(
         check="series_monogenicity",
         params={"n": n, "p": p, "s": s, "h": h, "word_limit": word_limit,
                 "points": points, "seed": seed},
-        passed=worst < tol, residual=worst, threshold=tol, seconds=dt,
+        passed=worst < tol, residual=worst, threshold=tol,
         note=f"median {statistics.median(resids):.3e}")
 
 
+@_timed
 def check_zeta_nonvanishing(n: int = 4, order: int = 3, radii=(6, 8),
                             thresholds: dict | None = None) -> VerificationReport:
     """Some derivative kernel sums stay far above their own tail delta."""
     from itertools import product as iproduct
-    t0 = time.perf_counter()
     factor = _threshold(thresholds, "zeta_tail_factor")
     ms = [m for m in iproduct(range(order + 1), repeat=n) if sum(m) == order]
     small = zeta_m_table(ms, n, radii[0])
@@ -469,18 +479,17 @@ def check_zeta_nonvanishing(n: int = 4, order: int = 3, radii=(6, 8),
         if ratio > best_ratio:
             best_m, best_ratio, best_norm = m, ratio, norm
     ok = best_ratio > factor and best_norm > 0
-    dt = time.perf_counter() - t0
     return VerificationReport(
         check="zeta_nonvanishing", params={"n": n, "order": order, "radii": list(radii)},
-        passed=ok, residual=best_norm, threshold=factor, seconds=dt,
+        passed=ok, residual=best_norm, threshold=factor,
         note=f"best m={best_m} ratio={best_ratio:.1f}")
 
 
+@_timed
 def check_abscissa(n: int = 4, p: int = 1, word_limit: int = 8,
                    alphas=(3.5, 1.5)) -> VerificationReport:
     """Coset norm sums: increments decay above the abscissa p + 1 and
     fail to decay below it."""
-    t0 = time.perf_counter()
     notes = []
     ok = True
     for alpha, rep in abscissa_diagnostic(GroupDescriptor.full(n, p), alphas, word_limit).items():
@@ -489,11 +498,10 @@ def check_abscissa(n: int = 4, p: int = 1, word_limit: int = 8,
         notes.append(f"alpha={alpha}: tail_ratio={rep['tail_ratio']:.3f} "
                      f"{'decays' if rep['tail_decreasing'] else 'grows'}"
                      f" (expected {'decay' if should_decay else 'growth'})")
-    dt = time.perf_counter() - t0
     return VerificationReport(
         check="convergence_abscissa", params={"n": n, "p": p, "word_limit": word_limit,
                                               "alphas": list(alphas)},
-        passed=bool(ok), seconds=dt, note="; ".join(notes))
+        passed=bool(ok), note="; ".join(notes))
 
 
 # ---- orchestration -------------------------------------------------------------
@@ -517,8 +525,8 @@ CHECK_BUILDERS = {
 def run_checks(names=None, seed: int = 0, thresholds: dict | None = None,
                deterministic: bool = False) -> list[VerificationReport]:
     """Run the named checks (all by default) and return their reports.
-    Bad check names and threshold overrides (unknown, non-finite or negative
-    values, a pair with lo > hi) raise ValueError first."""
+    Bad check names and threshold overrides (unknown, the wrong arity,
+    non-finite or negative values, a pair with lo > hi) raise ValueError first."""
     names = list(CHECK_BUILDERS) if names is None else list(names)
     unknown = [k for k in names if k not in CHECK_BUILDERS]
     if unknown:
@@ -527,8 +535,9 @@ def run_checks(names=None, seed: int = 0, thresholds: dict | None = None,
         if key not in DEFAULT_THRESHOLDS:
             raise ValueError(f"unknown threshold {key!r}; names: {', '.join(sorted(DEFAULT_THRESHOLDS))}")
         pair = isinstance(DEFAULT_THRESHOLDS[key], tuple)
-        if pair and not (isinstance(value, tuple) and len(value) == 2):
-            raise ValueError(f"threshold {key!r} takes a pair (lo, hi), got {value!r}")
+        if isinstance(value, tuple) != pair or (pair and len(value) != 2):
+            raise ValueError(f"threshold {key!r} takes {'a pair (lo, hi)' if pair else 'a number'}, "
+                             f"got {value!r}")
         if not all(math.isfinite(v) and v >= 0 for v in (value if pair else (value,))):
             raise ValueError(f"threshold {key!r} must be finite and >= 0, got {value!r}")
         if pair and value[0] > value[1]:
@@ -538,7 +547,5 @@ def run_checks(names=None, seed: int = 0, thresholds: dict | None = None,
         rep = CHECK_BUILDERS[name](seed, thresholds)
         if deterministic:
             rep.seconds = 0.0
-        else:
-            rep.seconds = round(rep.seconds, 6)
         reports.append(rep)
     return reports

@@ -127,19 +127,15 @@ def q_m(x: Multivector, m, s: int) -> Multivector:
 
 
 def dirac_fd(f, x: Multivector, h: float) -> Multivector:
-    """Central-difference Dirac operator sum_i e_i (f(x+h e_i) - f(x-h e_i)) / 2h."""
+    """Central-difference Dirac operator sum_i e_i (f(x+h e_i) - f(x-h e_i)) / 2h,
+    from the first partials of `fd_partial`."""
     if not x.is_vector():
         raise ValueError("dirac_fd needs a grade-1 base point")
     if not h > 0:
         raise ValueError("step must be positive")
     n = x.dim
-    out = Multivector.zero(n)
-    for i in range(1, n + 1):
-        e = Multivector.basis(n, i)
-        step = e * h
-        diff = f(x + step) - f(x - step)
-        out = out + e * diff * (0.5 / h)
-    return out
+    return sum((Multivector.basis(n, i + 1) * fd_partial(f, x, [int(k == i) for k in range(n)], h)
+                for i in range(n)), Multivector.zero(n))
 
 
 def dirac_power_fd(f, x: Multivector, h: float, power: int,

@@ -495,30 +495,24 @@ def coset_norm_sums(group: GroupDescriptor, alpha: float, word_limit: int) -> li
 
 
 def tail_report(result_or_partials) -> dict:
-    """Level-to-level increments of a partial-sum record.
+    """Level-to-level increments of a partial-sum record: a SeriesResult, or
+    (level, value) pairs with Multivector or float values.
 
     Returns dict with levels, increment norms, the final increment, and
     `tail_ratio`: (mass of the last half of the increments) / (mass of
     the first half); a ratio below 1 indicates decay of new
     contributions, the truncated-series analogue of convergence.
     """
-    if isinstance(result_or_partials, SeriesResult):
-        partials = result_or_partials.partial_sums
-        values = [val for _, val in partials]
-        deltas = [(values[i] - values[i - 1]).norm() for i in range(1, len(values))]
-        levels = [lvl for lvl, _ in partials]
-    else:
-        partials = list(result_or_partials)
-        levels = [lvl for lvl, _ in partials]
-        vals = [float(v) for _, v in partials]
-        deltas = [abs(vals[i] - vals[i - 1]) for i in range(1, len(vals))]
+    partials = list(getattr(result_or_partials, "partial_sums", result_or_partials))
+    steps = [b - a for (_, a), (_, b) in zip(partials, partials[1:])]
+    deltas = [d.norm() if isinstance(d, Multivector) else abs(d) for d in steps]
     if len(deltas) < 2:
         raise ValueError("tail_report needs at least two recorded levels")
     half = len(deltas) // 2
     head, tail = sum(deltas[:half]), sum(deltas[half:])
     ratio = math.inf if head == 0 and tail > 0 else (tail / head if head else 0.0)
     return {
-        "levels": levels,
+        "levels": [lvl for lvl, _ in partials],
         "deltas": deltas,
         "final_delta": deltas[-1],
         "tail_ratio": ratio,

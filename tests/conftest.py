@@ -1,9 +1,8 @@
 """Shared test helpers: a recorder for acceptance-criterion verdict lines
 that get replayed in the terminal summary, pass or fail, and the h-halving
-ratio of finite-difference residuals."""
+ratio of finite-difference residuals (defined in the harness)."""
 
-import math
-import statistics
+from cliffmod.harness import median_halving_ratio  # noqa: F401  (re-exported)
 
 _criterion_lines: list[str] = []
 
@@ -18,10 +17,3 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _criterion_lines:
             terminalreporter.write_line(line)
-
-
-def median_halving_ratio(coarse: list[float], fine: list[float]) -> float:
-    """Median over points of residual(h) / residual(h/2): about 4 where the
-    residual is the h^2 error of a central-difference stencil, about 1 where
-    it does not depend on h."""
-    return statistics.median(c / f if f else math.inf for c, f in zip(coarse, fine))

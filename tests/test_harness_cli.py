@@ -59,6 +59,9 @@ def test_checks_refuse_a_truncation_of_only_c_zero_cosets():
         check_limits("oddweight", 4, 1, 1, level=3, word_limit=6)
     with pytest.raises(ValueError, match="word length 4; raise the word limit"):
         check_automorphy("oddweight", 4, 1, 1, variant="principal", level=3, word_limits=(4, 6))
+    # a level on its own names the principal congruence subgroup in both checks
+    with pytest.raises(ValueError, match="word length 4; raise the word limit"):
+        check_automorphy("oddweight", 4, 1, 1, level=3, word_limits=(4, 6))
     assert check_limits("oddweight", 4, 1, 1, level=3, word_limit=8).passed
 
 
@@ -212,6 +215,18 @@ def test_run_checks_refuses_a_pair_threshold_with_lo_above_hi():
         run_checks(["monogenic"], thresholds={"kernel_monogenicity_ratio": (5.0, 3.0)})
 
 
+def test_cli_verify_reads_a_pair_threshold_as_lo_hi(capsys):
+    # the monogenic check's median halving ratio is 4.00
+    assert main(["verify", "--check", "monogenic", "--threshold", "kernel_monogenicity_ratio=4.5,5"]) == 1
+    assert main(["verify", "--check", "monogenic", "--threshold", "kernel_monogenicity_ratio=3,5"]) == 0
+    err = _one_line_usage_error(capsys, ["verify", "--check", "monogenic",
+                                         "--threshold", "kernel_monogenicity_ratio=5,3"])
+    assert "lo <= hi" in err
+    err = _one_line_usage_error(capsys, ["verify", "--check", "monogenic",
+                                         "--threshold", "kernel_monogenicity=1,2"])
+    assert "a number" in err
+
+
 def test_cli_verify_refuses_a_scalar_for_a_pair_threshold(capsys):
     err = _one_line_usage_error(capsys, ["verify", "--check", "monogenic",
                                          "--threshold", "kernel_monogenicity_ratio=3"])
@@ -255,8 +270,15 @@ def test_cli_limits(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["check"] == "limit_scalar"
     assert payload["pass"] is True
+    assert 0 < payload["seconds"] == round(payload["seconds"], 6)
     assert main(["limits", "--n", "5", "--tvals", "ten"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the p = 2 word table at its cap L = 5 "
+                                        "finds only 6 of the 8 c = 0 cosets")
+def test_limit_target_at_p2_counts_every_c_zero_coset():
+    assert check_limits("scalar", 6, 2, 2, word_limit=5).target == 8
 
 
 def test_cli_limits_refuses_a_height_too_large_for_a_float(capsys):
@@ -348,6 +370,10 @@ def test_cli_cosets_negative_maxlen_is_usage_error(capsys):
     [0.0, 0.0, 0.0, 0.0, float("inf")],
     [0.0, 0.0, 0.0, 0.0, 1e300],           # |x|^2 overflows to inf
     [0.0, 0.0, float("nan"), 0.0, 1.0],
+    [0.1, 0.2, 0.3, None, 1.0],            # only JSON numbers are coordinates
+    [0.1, 0.2, 0.3, [1], 1.0],
+    [0.1, 0.2, 0.3, "0.1", 1.0],
+    [0.1, 0.2, 0.3, True, 1.0],
 ])
 def test_cli_eval_bad_point_is_usage_error(tmp_path, capsys, point):
     pts = tmp_path / "pts.json"
