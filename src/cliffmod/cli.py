@@ -29,9 +29,10 @@ from .series import EISENSTEIN_KINDS, EVALUATE_KINDS, SeriesSpec, evaluate
 
 
 def _add_group_args(p: argparse.ArgumentParser):
-    p.add_argument("--n", type=int, default=4, help="ambient dimension (2..12)")
+    p.add_argument("--n", type=int, default=5, help="ambient dimension (2..12)")
     p.add_argument("--p", type=int, default=1, help="translation rank, 1 <= p <= n-1")
-    p.add_argument("--group", choices=VARIANTS, default="full", help="subgroup variant")
+    p.add_argument("--group", choices=VARIANTS, default=None,
+                   help="subgroup variant (default: principal with --level, else full)")
     p.add_argument("--level", type=int, default=None, help="congruence level N (variants with [N])")
 
 
@@ -132,14 +133,11 @@ def _report(args, reports, payload) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _parse_multi_index(text: str, n: int) -> tuple[int, ...]:
+def _parse_multi_index(text: str) -> tuple[int, ...]:
     try:
-        m = tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ValueError(f"bad multi-index {text!r}") from exc
-    if len(m) != n:
-        raise ValueError(f"multi-index needs {n} entries, got {len(m)}")
-    return m
 
 
 def _load_points(path: str | None, n: int) -> list[Multivector]:
@@ -204,8 +202,8 @@ def _run_cosets(args) -> int:
 
 def _run_eval(args) -> int:
     group = GroupDescriptor(args.n, args.p, args.group, args.level)
-    m = _parse_multi_index(args.m, args.n) if args.m else None
-    spec = SeriesSpec(args.series, group, s=args.s, t=args.t, m=m,
+    spec = SeriesSpec(args.series, group, s=args.s, t=args.t,
+                      m=_parse_multi_index(args.m) if args.m else None,
                       word_limit=args.maxlen, box_radius=args.box)
     pts = _load_points(args.points, args.n)
     if args.y_points:
@@ -216,9 +214,8 @@ def _run_eval(args) -> int:
         ypts = pts if spec.two_sided else [None] * len(pts)
     results = [(x, y, evaluate(spec, x, y)) for x, y in zip(pts, ypts)]
     payload = {
-        "series": args.series, "group": group.label,
-        "spec": {"s": args.s, "t": args.t, "m": list(m) if m else None,
-                 "word_limit": args.maxlen, "box_radius": args.box},
+        "series": spec.kind, "group": group.label,
+        "spec": {k: getattr(spec, k) for k in ("s", "t", "m", "word_limit", "box_radius")},
         "results": [dict({"point": _mv_json(x)},
                          **({} if y is None else {"second_point": _mv_json(y)}),
                          **_result_json(res))
@@ -248,8 +245,7 @@ def _run_verify(args) -> int:
     names = None if args.all else args.check
     thresholds = _parse_threshold_overrides(args.threshold)
     seed = 0 if args.deterministic else args.seed
-    reports = run_checks(names, seed=seed, thresholds=thresholds,
-                         deterministic=args.deterministic)
+    reports = run_checks(names, seed=seed, thresholds=thresholds)
     return _report(args, reports, lambda reps: {
         "thresholds_version": THRESHOLDS_VERSION,
         "seed": seed,

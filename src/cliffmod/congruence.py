@@ -67,14 +67,17 @@ VARIANTS = tuple(_RULES)
 
 @dataclass(frozen=True)
 class GroupDescriptor:
-    """A congruence subgroup of Gamma_p acting on H^+ in R^n."""
+    """A congruence subgroup of Gamma_p acting on H^+ in R^n.  Without a
+    variant, a level names principal[N] and no level the full group."""
 
     n: int
     p: int
-    variant: str
+    variant: str | None = None
     level: int | None = None
 
     def __post_init__(self):
+        if self.variant is None:
+            object.__setattr__(self, "variant", "full" if self.level is None else "principal")
         if not 1 <= self.p <= self.n - 1:
             raise ValueError(f"need 1 <= p <= n-1, got p={self.p}, n={self.n}")
         if self.variant not in VARIANTS:

@@ -24,7 +24,7 @@ from .congruence import (GroupDescriptor, bottom_row_key, contains_neg_identity,
 from .kernels import KernelJet, dirac_fd, dirac_power_fd, fd_partial, kernel_multiplicativity_check, q0
 from .series import (EISENSTEIN_KINDS, SeriesSpec, abscissa_diagnostic, automorphy_residual, coset_counts,
                      evaluate, odd_weight_eisenstein, scalar_eisenstein, zeta_m_table)
-from .vahlen import VahlenMatrix, make_translation, mat_mul, mobius_apply
+from .vahlen import VahlenMatrix, in_half_space, make_translation, mat_mul, mobius_apply
 
 THRESHOLDS_VERSION = "1"
 
@@ -76,11 +76,6 @@ class VerificationReport:
         if self.note:
             bits.append(self.note)
         return f"[{verdict}] {self.check}: " + "  ".join(bits)
-
-
-def _group(n: int, p: int, variant: str | None, level: int | None) -> GroupDescriptor:
-    """A check's group: a level on its own names the principal congruence subgroup."""
-    return GroupDescriptor(n, p, variant or ("principal" if level else "full"), level)
 
 
 def _require_c_nonzero_coset(group: GroupDescriptor, word_limit: int):
@@ -208,7 +203,7 @@ def check_mobius_homomorphism(n: int = 4, p: int = 1, pairs: int = 200, points: 
             mid = mobius_apply(m2f, x)
             rhs = mobius_apply(m1f, mid)
             worst = max(worst, (lhs - rhs).norm())
-            if float(lhs.component(n)) <= 0 or float(mid.component(n)) <= 0:
+            if not (in_half_space(lhs) and in_half_space(mid)):
                 halfspace_ok = False
     return VerificationReport(
         check="mobius_homomorphism",
@@ -355,7 +350,7 @@ def check_limits(kind: str, n: int, p: int, s: int, t: int | None = None,
         raise ValueError(f"the limit check needs at least two finite heights, got {heights}")
     if kind not in EISENSTEIN_KINDS:
         raise ValueError(f"no limit statement for series kind {kind!r}; choose from {EISENSTEIN_KINDS}")
-    group = _group(n, p, variant, level)
+    group = GroupDescriptor(n, p, variant, level)
     spec = SeriesSpec(kind, group, s=s, t=t, word_limit=word_limit)
     _require_c_nonzero_coset(group, word_limit)
     errors = []
@@ -418,7 +413,7 @@ def check_automorphy(kind: str, n: int, p: int, s: int, t: int | None = None,
     the odd-weight kind needs a group without -I (e.g. principal[3]).  A
     smallest truncation without a c != 0 coset raises ValueError."""
     rng = random.Random(seed)
-    group = _group(n, p, variant, level)
+    group = GroupDescriptor(n, p, variant, level)
     _require_c_nonzero_coset(group, min(word_limits))
     mats = sample_group_elements(rng, group, n_elements, word_limit=4)
     pts = [sample_strip_point(rng, n, xn_range=(0.8, 1.8)) for _ in range(n_points)]
@@ -428,7 +423,7 @@ def check_automorphy(kind: str, n: int, p: int, s: int, t: int | None = None,
     for L in word_limits:
         spec = SeriesSpec(kind, group, s=s, t=t, word_limit=L)
         ys = pts2 if spec.two_sided else [None] * n_points
-        resids = [automorphy_residual(spec, mf, x, y).norm() for mf in mfs for x, y in zip(pts, ys)]
+        resids = [r.norm() for x, y in zip(pts, ys) for r in automorphy_residual(spec, mfs, x, y)]
         medians.append(statistics.median(resids))
     ok = all(medians[i + 1] < medians[i] for i in range(len(medians) - 1))
     return VerificationReport(
@@ -525,8 +520,8 @@ CHECK_BUILDERS = {
 def run_checks(names=None, seed: int = 0, thresholds: dict | None = None,
                deterministic: bool = False) -> list[VerificationReport]:
     """Run the named checks (all by default) and return their reports.
-    Bad check names and threshold overrides (unknown, the wrong arity,
-    non-finite or negative values, a pair with lo > hi) raise ValueError first."""
+    Bad check names and threshold overrides (unknown, the wrong arity, not
+    a number, non-finite or negative values, a pair with lo > hi) raise ValueError first."""
     names = list(CHECK_BUILDERS) if names is None else list(names)
     unknown = [k for k in names if k not in CHECK_BUILDERS]
     if unknown:
@@ -535,10 +530,11 @@ def run_checks(names=None, seed: int = 0, thresholds: dict | None = None,
         if key not in DEFAULT_THRESHOLDS:
             raise ValueError(f"unknown threshold {key!r}; names: {', '.join(sorted(DEFAULT_THRESHOLDS))}")
         pair = isinstance(DEFAULT_THRESHOLDS[key], tuple)
-        if isinstance(value, tuple) != pair or (pair and len(value) != 2):
+        values = value if pair and isinstance(value, tuple) else (value,)
+        if len(values) != 1 + pair or not all(type(v) in (int, float) for v in values):
             raise ValueError(f"threshold {key!r} takes {'a pair (lo, hi)' if pair else 'a number'}, "
                              f"got {value!r}")
-        if not all(math.isfinite(v) and v >= 0 for v in (value if pair else (value,))):
+        if not all(math.isfinite(v) and v >= 0 for v in values):
             raise ValueError(f"threshold {key!r} must be finite and >= 0, got {value!r}")
         if pair and value[0] > value[1]:
             raise ValueError(f"threshold {key!r} takes a pair (lo, hi) with lo <= hi, got {value!r}")

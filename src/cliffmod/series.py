@@ -45,7 +45,7 @@ from .clifford import Multivector
 from .congruence import (CosetRep, GroupDescriptor, contains_neg_identity,
                          enumerate_cosets, translation_lattice)
 from .kernels import KernelJet, kernel_scale, left_factor, q0_general
-from .vahlen import mobius_apply
+from .vahlen import in_half_space, mobius_apply
 
 # f~ = 1: the large-x_n limit of these is the count of c = 0 cosets
 EISENSTEIN_KINDS = ("scalar", "oddweight", "biregular")
@@ -310,7 +310,7 @@ def _level_walk(table: _CosetTable, term, total) -> list:
 
 
 def _require_half_space(x: Multivector):
-    if not x.is_vector() or not float(x.component(x.dim)) > 0:
+    if not x.is_vector() or not in_half_space(x):
         raise ValueError("series are evaluated on the open upper half-space (x_n > 0)")
     if not all(math.isfinite(float(c)) for c in x.coeffs.values()):
         raise ValueError("series are evaluated at points with finite coordinates")
@@ -415,14 +415,19 @@ def _vector_f_tilde(m, box_radius: int):
     return f_tilde
 
 
-def automorphy_residual(spec: SeriesSpec, m, x: Multivector, y: Multivector | None = None) -> Multivector:
-    """f(x, y) - L f(m<x>, m<y>) R for a float group element m with
-    automorphy factors (L, R): zero for the full series, so its size
-    measures what the truncation misses."""
+def automorphy_residual(spec: SeriesSpec, ms, x: Multivector,
+                        y: Multivector | None = None) -> list[Multivector]:
+    """f(x, y) - L f(m<x>, m<y>) R for each float group element m of `ms`,
+    with automorphy factors (L, R), and f(x, y) evaluated once: zero for
+    the full series, so its size measures what the truncation misses."""
     xf, yf = _float_points(spec, x, y)
-    image = evaluate(spec, mobius_apply(m, xf), None if yf is None else mobius_apply(m, yf)).value
-    left, right = _factors(spec, m, xf, yf)
-    return evaluate(spec, xf, yf).value - _sandwich(left, image, right)
+    value = evaluate(spec, xf, yf).value
+    out = []
+    for m in ms:
+        image = evaluate(spec, mobius_apply(m, xf), None if yf is None else mobius_apply(m, yf)).value
+        left, right = _factors(spec, m, xf, yf)
+        out.append(value - _sandwich(left, image, right))
+    return out
 
 
 def _require_kind(spec: SeriesSpec, kind: str):

@@ -31,6 +31,9 @@ def test_descriptor_validation():
         GroupDescriptor(4, 1, "theta", 2)  # theta takes no level
     with pytest.raises(ValueError):
         GroupDescriptor(4, 1, "full", 3)
+    # without a variant, a level names the principal congruence subgroup and no level the full group
+    assert GroupDescriptor(5, 1) == GroupDescriptor.full(5, 1)
+    assert GroupDescriptor(5, 1, level=3) == GroupDescriptor.principal(5, 1, 3)
 
 
 def test_in_order():

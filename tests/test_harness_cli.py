@@ -38,6 +38,12 @@ def test_threshold_override_can_fail_a_check():
     assert rep.threshold == 0.0
 
 
+@pytest.mark.parametrize("value", ["1", True])
+def test_run_checks_refuses_a_threshold_that_is_not_a_number(value):
+    with pytest.raises(ValueError, match="takes a number"):
+        run_checks(["kernel"], thresholds={"kernel_multiplicativity": value})
+
+
 def test_report_shape():
     rep, = run_checks(["kernel"], seed=0, deterministic=True)
     d = rep.to_json_dict()
@@ -92,10 +98,14 @@ def test_cli_cosets_csv(tmp_path):
     assert set(rows[0]) == {"word_length", "height", "c_zero", "a", "b", "c", "d"}
 
 
-def test_cli_cosets_level_validation(capsys):
+def test_cli_cosets_level_validation(tmp_path, capsys):
     assert main(["cosets", "--n", "4", "--p", "1", "--group", "principal"]) == 2
     assert "level" in capsys.readouterr().err
-    assert main(["cosets", "--n", "4", "--p", "1", "--level", "2"]) == 2
+    # a level on its own names the principal congruence subgroup
+    out = tmp_path / "cosets.json"
+    assert main(["cosets", "--n", "4", "--p", "1", "--level", "2", "--maxlen", "4",
+                 "--outfile", str(out)]) == 0
+    assert json.loads(out.read_text())["group"] == "Gamma_1[2]"
 
 
 # ---- cli: eval -----------------------------------------------------------------
@@ -146,6 +156,17 @@ def test_cli_eval_vector_and_biregular(tmp_path):
     rows = list(csv.reader(io.StringIO(out2.read_text())))
     assert rows[0] == ["point", "second_point", "value"]
     assert len(rows) == 3
+
+
+def test_cli_eval_vector_multi_index_of_the_wrong_length_is_usage_error(capsys):
+    err = _one_line_usage_error(capsys, ["eval", "--n", "4", "--series", "vector", "--s", "1", "--m", "3,0"])
+    assert "multi-index must be 4 nonnegative integers" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "limits"])
+def test_cli_eval_and_limits_run_without_arguments(capsys, command):
+    assert main([command]) == 0
+    capsys.readouterr()
 
 
 def test_cli_eval_divergent_spec_is_usage_error(capsys):
@@ -315,7 +336,8 @@ def test_cli_limits_csv_uses_the_verify_layout(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("group, label", [(["--group", "theta"], "Gamma_1_theta"),
-                                          (["--group", "principal", "--level", "3"], "Gamma_1[3]")])
+                                          (["--group", "principal", "--level", "3"], "Gamma_1[3]"),
+                                          (["--level", "3"], "Gamma_1[3]")])
 def test_cli_limits_report_names_its_group(tmp_path, capsys, group, label):
     out = tmp_path / "limits.json"
     assert main(["limits", "--n", "5", "--p", "1", "--series", "scalar", "--s", "2", "--maxlen", "8",

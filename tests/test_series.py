@@ -10,15 +10,15 @@ import random
 import pytest
 
 from cliffmod.clifford import Multivector
-from cliffmod.congruence import GroupDescriptor, contains_neg_identity, enumerate_cosets
+from cliffmod.congruence import GroupDescriptor, contains_neg_identity, enumerate_cosets, gamma_generators
 from cliffmod.harness import DEFAULT_THRESHOLDS
 from cliffmod.jets import multi_indices
 from cliffmod.kernels import KernelJet, dirac_power_fd, fd_partial, q0, q0_general, left_factor
 from cliffmod.series import (MAX_BOX_POINTS, SeriesResult, SeriesSpec, _closed_term, _coset_row,
                              _coset_table, _factors, _sandwich, _vector_f_tilde, abscissa_diagnostic,
-                             biregular_eisenstein, coset_counts, coset_norm_sums, epsilon_m, evaluate,
-                             lattice_G_m, odd_weight_eisenstein, poincare_general, scalar_eisenstein,
-                             series_cosets, tail_report, translation_invariance_residual,
+                             automorphy_residual, biregular_eisenstein, coset_counts, coset_norm_sums,
+                             epsilon_m, evaluate, lattice_G_m, odd_weight_eisenstein, poincare_general,
+                             scalar_eisenstein, series_cosets, tail_report, translation_invariance_residual,
                              vector_eisenstein, zeta_m, zeta_m_table)
 from cliffmod.vahlen import VahlenMatrix, mobius_apply
 
@@ -436,6 +436,19 @@ def test_evaluate_is_every_named_series():
         evaluate(SeriesSpec("poincare", FULL41, 1), x)  # f~ must come from the caller
     with pytest.raises(ValueError):
         vector_eisenstein(x, odd)  # the named doors keep their kind
+
+
+@pytest.mark.parametrize("spec", [SeriesSpec("scalar", FULL51, 2, word_limit=3),
+                                  SeriesSpec("biregular", FULL41, 1, t=1, word_limit=3)])
+def test_automorphy_residual_of_a_list_equals_one_element_calls(spec):
+    n = spec.group.n
+    gens = gamma_generators(n, 1)
+    ms = [gens[0].to_float(), gens[-1].to_float()]  # T_{e_1} and J
+    x = Multivector.vector([0.1] * (n - 1) + [1.2])
+    y = Multivector.vector([-0.2] * (n - 1) + [0.9]) if spec.two_sided else None
+    both = automorphy_residual(spec, ms, x, y)
+    assert [r.coeffs for r in both] == [automorphy_residual(spec, [m], x, y)[0].coeffs for m in ms]
+    assert both[1].norm() > 0  # J moves x: the truncation misses something
 
 
 def test_translation_invariance_residual():
