@@ -152,7 +152,11 @@ def _load_points(path: str | None, n: int) -> list[Multivector]:
     for row in pts:
         if not isinstance(row, list) or len(row) != n or not all(type(c) in (int, float) for c in row):
             raise ValueError(f"each point needs {n} JSON-number coordinates, got {row!r}")
-        out.append(Multivector.vector([float(c) for c in row]))
+        try:
+            coords = [float(c) for c in row]
+        except OverflowError as exc:
+            raise ValueError("a coordinate is too large for a float") from exc
+        out.append(Multivector.vector(coords))
     return out
 
 

@@ -225,6 +225,10 @@ def _mv_key(v: Multivector) -> tuple:
     return tuple((mask, c.numerator, c.denominator) for mask, c in sorted(v.coeffs.items()))
 
 
+def _negated_key(key: tuple) -> tuple:
+    return tuple(tuple((mask, -num, den) for mask, num, den in part) for part in key)
+
+
 def bottom_row_key(m: VahlenMatrix) -> tuple:
     """Canonical exact key (c, d) labelling the coset T(G) m."""
     if not m.is_exact():

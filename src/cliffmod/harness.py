@@ -87,6 +87,12 @@ def _require_c_nonzero_coset(group: GroupDescriptor, word_limit: int):
                          "raise the word limit")
 
 
+def _require_eisenstein_kind(kind: str, statement: str):
+    """Admit only the f~ = 1 kinds: the limit and automorphy checks build their specs from the kind alone."""
+    if kind not in EISENSTEIN_KINDS:
+        raise ValueError(f"no {statement} statement for series kind {kind!r}; choose from {EISENSTEIN_KINDS}")
+
+
 def _threshold(overrides: dict | None, key: str):
     if overrides and key in overrides:
         return overrides[key]
@@ -123,13 +129,11 @@ def sample_strip_point(rng: random.Random, n: int, xn_range: tuple[float, float]
     return Multivector.vector(comps)
 
 
-def sample_group_elements(rng: random.Random, group: GroupDescriptor, count: int,
-                          word_limit: int = 4) -> list[VahlenMatrix]:
-    """Random non-identity members of the group from a word ball."""
-    pool = [m for m in gamma_ball(group.n, group.p, word_limit)
-            if m.word and is_member(m, group)]
+def sample_group_elements(rng: random.Random, group: GroupDescriptor, count: int) -> list[VahlenMatrix]:
+    """Random non-identity members of the group from the word ball of length 4."""
+    pool = [m for m in gamma_ball(group.n, group.p, 4) if m.word and is_member(m, group)]
     if not pool:
-        raise ValueError(f"no non-identity members of {group.label} at word length {word_limit}")
+        raise ValueError(f"no non-identity members of {group.label} at word length 4")
     return [pool[rng.randrange(len(pool))] for _ in range(count)]
 
 
@@ -348,8 +352,7 @@ def check_limits(kind: str, n: int, p: int, s: int, t: int | None = None,
         raise ValueError("a height is too large for a float") from exc
     if len(heights) < 2 or not all(map(math.isfinite, heights)):
         raise ValueError(f"the limit check needs at least two finite heights, got {heights}")
-    if kind not in EISENSTEIN_KINDS:
-        raise ValueError(f"no limit statement for series kind {kind!r}; choose from {EISENSTEIN_KINDS}")
+    _require_eisenstein_kind(kind, "limit")
     group = GroupDescriptor(n, p, variant, level)
     spec = SeriesSpec(kind, group, s=s, t=t, word_limit=word_limit)
     _require_c_nonzero_coset(group, word_limit)
@@ -405,32 +408,37 @@ def check_cancellation(n: int = 4, p: int = 1, s: int = 1, word_limit: int = 6,
 @_timed
 def check_automorphy(kind: str, n: int, p: int, s: int, t: int | None = None,
                      variant: str | None = None, level: int | None = None,
-                     word_limits=(5, 8), n_elements: int = 10, n_points: int = 10,
-                     seed: int = 0) -> VerificationReport:
+                     word_limits=(5, 8), seed: int = 0) -> VerificationReport:
     """Median modular-transformation residual shrinks as the word limit grows.
 
     Meaningful only where the truncated series is not identically zero;
     the odd-weight kind needs a group without -I (e.g. principal[3]).  A
-    smallest truncation without a c != 0 coset raises ValueError."""
+    non-Eisenstein kind, fewer than two strictly increasing word limits (a
+    single median decreases trivially) or a smallest truncation without a
+    c != 0 coset raises ValueError."""
+    _require_eisenstein_kind(kind, "automorphy")
+    if len(word_limits) < 2 or any(a >= b for a, b in zip(word_limits, word_limits[1:])):
+        raise ValueError(f"the automorphy check needs at least two strictly increasing word limits, "
+                         f"got {list(word_limits)}")
     rng = random.Random(seed)
     group = GroupDescriptor(n, p, variant, level)
-    _require_c_nonzero_coset(group, min(word_limits))
-    mats = sample_group_elements(rng, group, n_elements, word_limit=4)
-    pts = [sample_strip_point(rng, n, xn_range=(0.8, 1.8)) for _ in range(n_points)]
-    pts2 = [sample_strip_point(rng, n, xn_range=(0.8, 1.8)) for _ in range(n_points)]
+    _require_c_nonzero_coset(group, word_limits[0])
+    mats = sample_group_elements(rng, group, 10)
+    pts = [sample_strip_point(rng, n, xn_range=(0.8, 1.8)) for _ in range(10)]
+    pts2 = [sample_strip_point(rng, n, xn_range=(0.8, 1.8)) for _ in range(10)]
     mfs = [m.to_float() for m in mats]
     medians = []
     for L in word_limits:
         spec = SeriesSpec(kind, group, s=s, t=t, word_limit=L)
-        ys = pts2 if spec.two_sided else [None] * n_points
+        ys = pts2 if spec.two_sided else [None] * len(pts)
         resids = [r.norm() for x, y in zip(pts, ys) for r in automorphy_residual(spec, mfs, x, y)]
         medians.append(statistics.median(resids))
     ok = all(medians[i + 1] < medians[i] for i in range(len(medians) - 1))
     return VerificationReport(
         check=f"automorphy_{kind}",
         params={"n": n, "p": p, "s": s, "t": t, "group": group.label,
-                "word_limits": list(word_limits), "elements": n_elements,
-                "points": n_points, "seed": seed},
+                "word_limits": list(word_limits), "elements": len(mats),
+                "points": len(pts), "seed": seed},
         passed=ok, residual=medians[-1],
         note="medians " + " -> ".join(f"{m:.3e}" for m in medians))
 
@@ -462,6 +470,8 @@ def check_zeta_nonvanishing(n: int = 4, order: int = 3, radii=(6, 8),
                             thresholds: dict | None = None) -> VerificationReport:
     """Some derivative kernel sums stay far above their own tail delta."""
     from itertools import product as iproduct
+    if not radii[0] < radii[1]:
+        raise ValueError(f"the zeta check needs two radii r0 < r1 to measure a tail, got {list(radii)}")
     factor = _threshold(thresholds, "zeta_tail_factor")
     ms = [m for m in iproduct(range(order + 1), repeat=n) if sum(m) == order]
     small = zeta_m_table(ms, n, radii[0])
@@ -517,8 +527,7 @@ CHECK_BUILDERS = {
 }
 
 
-def run_checks(names=None, seed: int = 0, thresholds: dict | None = None,
-               deterministic: bool = False) -> list[VerificationReport]:
+def run_checks(names=None, seed: int = 0, thresholds: dict | None = None) -> list[VerificationReport]:
     """Run the named checks (all by default) and return their reports.
     Bad check names and threshold overrides (unknown, the wrong arity, not
     a number, non-finite or negative values, a pair with lo > hi) raise ValueError first."""
@@ -538,10 +547,4 @@ def run_checks(names=None, seed: int = 0, thresholds: dict | None = None,
             raise ValueError(f"threshold {key!r} must be finite and >= 0, got {value!r}")
         if pair and value[0] > value[1]:
             raise ValueError(f"threshold {key!r} takes a pair (lo, hi) with lo <= hi, got {value!r}")
-    reports = []
-    for name in names:
-        rep = CHECK_BUILDERS[name](seed, thresholds)
-        if deterministic:
-            rep.seconds = 0.0
-        reports.append(rep)
-    return reports
+    return [CHECK_BUILDERS[name](seed, thresholds) for name in names]

@@ -42,8 +42,9 @@ from functools import lru_cache
 from itertools import product
 
 from .clifford import Multivector
-from .congruence import (CosetRep, GroupDescriptor, contains_neg_identity,
+from .congruence import (CosetRep, GroupDescriptor, _negated_key, contains_neg_identity,
                          enumerate_cosets, translation_lattice)
+from .jets import require_jet_budget
 from .kernels import KernelJet, kernel_scale, left_factor, q0_general
 from .vahlen import in_half_space, mobius_apply
 
@@ -98,6 +99,7 @@ class SeriesSpec:
                 raise ValueError("vector series needs a derivative multi-index m")
             _check_multi_index(self.m, n, minimum=3)
             _box_points(n, self.box_radius, include_zero=True)  # refuses an over-budget box now
+            require_jet_budget(n, sum(self.m))  # and an over-budget jet
         elif self.m is not None:
             raise ValueError(f"{self.kind} series takes no multi-index")
 
@@ -218,10 +220,6 @@ def lattice_G_m(x: Multivector, m, box_radius: int = 4) -> Multivector:
 
 
 # ---- coset series -----------------------------------------------------------
-
-
-def _negated_key(key: tuple) -> tuple:
-    return tuple(tuple((mask, -num, den) for mask, num, den in part) for part in key)
 
 
 def series_cosets(group: GroupDescriptor, word_limit: int) -> list[CosetRep]:

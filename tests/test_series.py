@@ -58,6 +58,8 @@ def test_spec_rejections():
         SeriesSpec("vector", FULL41, 1, m=(0, 0, 0, 2))  # even |m|
     with pytest.raises(ValueError):
         SeriesSpec("vector", FULL41, 1, m=(0, 0, 1))  # wrong length
+    with pytest.raises(ValueError, match="budget"):
+        SeriesSpec("vector", FULL41, 1, m=(99, 0, 0, 0))  # jet of order 99 in 4 variables
     with pytest.raises(ValueError):
         SeriesSpec("scalar", FULL51, 2, m=(0, 0, 0, 0, 3))
     with pytest.raises(ValueError):
