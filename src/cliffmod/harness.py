@@ -5,7 +5,9 @@ residual or a count, compares against a threshold or target from
 DEFAULT_THRESHOLDS (overridable per call), and returns a
 VerificationReport.  The CLI `verify` subcommand serializes these
 reports; the acceptance tests pin the same checks at the documented
-tolerances.
+tolerances.  A size that no caller varies (a dimension, word limit,
+step or sample count) is a constant in the check's body and is still
+reported in `params`.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .clifford import Multivector
 from .congruence import (GroupDescriptor, bottom_row_key, contains_neg_identity,
                          enumerate_cosets, gamma_ball, gamma_generators, is_member,
                          same_coset)
+from .jets import multi_indices, multi_indices_upto
 from .kernels import KernelJet, dirac_fd, dirac_power_fd, fd_partial, kernel_multiplicativity_check, q0
 from .series import (EISENSTEIN_KINDS, SeriesSpec, abscissa_diagnostic, automorphy_residual, coset_counts,
                      evaluate, odd_weight_eisenstein, scalar_eisenstein, zeta_m_table)
@@ -150,9 +153,10 @@ def random_word_matrix(rng: random.Random, n: int, p: int, max_len: int = 6) -> 
 
 
 @_timed
-def check_clifford_relations(dims=(4, 8), samples: int = 1000, seed: int = 0) -> VerificationReport:
+def check_clifford_relations(seed: int = 0) -> VerificationReport:
     """Generator relations exactly, plus random exact associativity and
     anti-automorphism identities on sparse multivectors."""
+    dims, samples = (4, 8), 1000
     rng = random.Random(seed)
     failures = 0
     for n in dims:
@@ -188,9 +192,10 @@ def check_clifford_relations(dims=(4, 8), samples: int = 1000, seed: int = 0) ->
 
 
 @_timed
-def check_mobius_homomorphism(n: int = 4, p: int = 1, pairs: int = 200, points: int = 20,
-                              seed: int = 0, thresholds: dict | None = None) -> VerificationReport:
+def check_mobius_homomorphism(pairs: int = 200, points: int = 20, seed: int = 0,
+                              thresholds: dict | None = None) -> VerificationReport:
     """(M1 M2)<x> == M1<M2<x>> in floats, and images stay in the half-space."""
+    n, p = 4, 1
     rng = random.Random(seed)
     tol = _threshold(thresholds, "mobius_homomorphism")
     pts = [sample_strip_point(rng, n, xn_range=(0.3, 2.0), base_radius=2.0)
@@ -217,8 +222,9 @@ def check_mobius_homomorphism(n: int = 4, p: int = 1, pairs: int = 200, points: 
 
 
 @_timed
-def check_kernel_multiplicativity(pairs: int = 500, dims=(4, 5), weights=(1, 2),
-                                  seed: int = 0, thresholds: dict | None = None) -> VerificationReport:
+def check_kernel_multiplicativity(pairs: int = 500, seed: int = 0,
+                                  thresholds: dict | None = None) -> VerificationReport:
+    dims, weights = (4, 5), (1, 2)
     rng = random.Random(seed)
     tol = _threshold(thresholds, "kernel_multiplicativity")
     worst = 0.0
@@ -237,10 +243,10 @@ def check_kernel_multiplicativity(pairs: int = 500, dims=(4, 5), weights=(1, 2),
 
 
 @_timed
-def check_kernel_monogenicity(n: int = 4, s: int = 1, h: float = 1e-4, points: int = 10,
-                              seed: int = 0, thresholds: dict | None = None) -> VerificationReport:
+def check_kernel_monogenicity(seed: int = 0, thresholds: dict | None = None) -> VerificationReport:
     """D q0 = 0 away from the origin, by central differences, with the
     h-halving ratio confirming the h^2 error model."""
+    n, s, h, points = 4, 1, 1e-4, 10
     rng = random.Random(seed)
     tol = _threshold(thresholds, "kernel_monogenicity")
     lo, hi = _threshold(thresholds, "kernel_monogenicity_ratio")
@@ -259,10 +265,10 @@ def check_kernel_monogenicity(n: int = 4, s: int = 1, h: float = 1e-4, points: i
 
 
 @_timed
-def check_jet_vs_fd(n: int = 4, points: int = 50, max_order: int = 3, h: float = 1e-3,
-                    s: int = 1, seed: int = 0, thresholds: dict | None = None) -> VerificationReport:
+def check_jet_vs_fd(points: int = 50, s: int = 1, seed: int = 0,
+                    thresholds: dict | None = None) -> VerificationReport:
     """Jet-evaluated q_m against Richardson-extrapolated central differences."""
-    from .jets import multi_indices_upto
+    n, max_order, h = 4, 3, 1e-3
     rng = random.Random(seed)
     tol = _threshold(thresholds, "jet_vs_fd_relative")
     worst = 0.0
@@ -285,9 +291,10 @@ def check_jet_vs_fd(n: int = 4, points: int = 50, max_order: int = 3, h: float =
 
 
 @_timed
-def check_coset_counts(n: int = 4, p: int = 1, word_limit: int = 6) -> VerificationReport:
+def check_coset_counts() -> VerificationReport:
     """c = 0 coset counts against the predicted values, the theta count
     against an oracle-derived partition, and key-vs-oracle agreement."""
+    n, p, word_limit = 4, 1, 6
     notes = []
     ok = True
 
@@ -374,10 +381,10 @@ def check_limits(kind: str, n: int, p: int, s: int, t: int | None = None,
 
 
 @_timed
-def check_cancellation(n: int = 4, p: int = 1, s: int = 1, word_limit: int = 6,
-                       thresholds: dict | None = None) -> VerificationReport:
+def check_cancellation(thresholds: dict | None = None) -> VerificationReport:
     """Odd-weight series collapse to zero over every -I-containing variant,
     and do not collapse over principal[3]."""
+    n, p, s, word_limit = 4, 1, 1, 6
     tol = _threshold(thresholds, "oddweight_collapse")
     x = Multivector.vector(([0.25, -0.1, 0.3] + [0.05] * n)[:n - 1] + [1.2])
     groups = [GroupDescriptor.full(n, p), GroupDescriptor.principal(n, p, 2),
@@ -396,7 +403,7 @@ def check_cancellation(n: int = 4, p: int = 1, s: int = 1, word_limit: int = 6,
         notes.append(f"{g.label}: {res.value.norm():.1e}")
     ok &= worst < tol
     g3 = GroupDescriptor.principal(n, p, 3)
-    res3 = odd_weight_eisenstein(x, SeriesSpec("oddweight", g3, s=s, word_limit=max(word_limit, 8)))
+    res3 = odd_weight_eisenstein(x, SeriesSpec("oddweight", g3, s=s, word_limit=8))
     nonzero = res3.value.norm() > 1e-3
     ok &= nonzero and not contains_neg_identity(g3)
     notes.append(f"{g3.label}: {res3.value.norm():.2e} (expect nonzero)")
@@ -444,11 +451,10 @@ def check_automorphy(kind: str, n: int, p: int, s: int, t: int | None = None,
 
 
 @_timed
-def check_series_monogenicity(n: int = 5, p: int = 1, s: int = 2, h: float = 1e-2,
-                              word_limit: int = 8, points: int = 10, seed: int = 0,
-                              thresholds: dict | None = None) -> VerificationReport:
+def check_series_monogenicity(seed: int = 0, thresholds: dict | None = None) -> VerificationReport:
     """D^s annihilates the truncated scalar series, by nested central
     differences at interior points with stencil margin."""
+    n, p, s, h, word_limit, points = 5, 1, 2, 1e-2, 8, 10
     rng = random.Random(seed)
     tol = _threshold(thresholds, "series_monogenicity")
     group = GroupDescriptor.full(n, p)
@@ -466,14 +472,13 @@ def check_series_monogenicity(n: int = 5, p: int = 1, s: int = 2, h: float = 1e-
 
 
 @_timed
-def check_zeta_nonvanishing(n: int = 4, order: int = 3, radii=(6, 8),
-                            thresholds: dict | None = None) -> VerificationReport:
+def check_zeta_nonvanishing(radii=(6, 8), thresholds: dict | None = None) -> VerificationReport:
     """Some derivative kernel sums stay far above their own tail delta."""
-    from itertools import product as iproduct
+    n, order = 4, 3
     if not radii[0] < radii[1]:
         raise ValueError(f"the zeta check needs two radii r0 < r1 to measure a tail, got {list(radii)}")
     factor = _threshold(thresholds, "zeta_tail_factor")
-    ms = [m for m in iproduct(range(order + 1), repeat=n) if sum(m) == order]
+    ms = multi_indices(n, order)
     small = zeta_m_table(ms, n, radii[0])
     large = zeta_m_table(ms, n, radii[1])
     best_m, best_ratio, best_norm = None, 0.0, 0.0
@@ -491,10 +496,10 @@ def check_zeta_nonvanishing(n: int = 4, order: int = 3, radii=(6, 8),
 
 
 @_timed
-def check_abscissa(n: int = 4, p: int = 1, word_limit: int = 8,
-                   alphas=(3.5, 1.5)) -> VerificationReport:
+def check_abscissa() -> VerificationReport:
     """Coset norm sums: increments decay above the abscissa p + 1 and
     fail to decay below it."""
+    n, p, word_limit, alphas = 4, 1, 8, (3.5, 1.5)
     notes = []
     ok = True
     for alpha, rep in abscissa_diagnostic(GroupDescriptor.full(n, p), alphas, word_limit).items():

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .clifford import Multivector, clifford_group_inverse, vector_inverse
 
@@ -142,12 +143,24 @@ def make_dilatation(n: int, alpha) -> VahlenMatrix:
                         word=(f"D({_format_scalar(alpha)})",))
 
 
+@lru_cache(maxsize=1024)
 def _translation_offset(tok: str, n: int) -> Multivector | None:
     """The offset b of a provenance token `T(b)`, None for any other token;
-    a `T(...)` token whose offset does not parse raises ValueError."""
+    a `T(...)` token whose offset does not parse raises ValueError (and is
+    not cached, so it raises again on every call)."""
     if tok.startswith("T(") and tok.endswith(")"):
         return Multivector.from_string(n, tok[2:-1])
     return None
+
+
+@lru_cache(maxsize=1024)
+def _inverse_tokens(tok: str, n: int) -> tuple[str, ...] | None:
+    """The provenance tokens of a token's inverse: J^{-1} = J J J and
+    T_b^{-1} = T_{-b}; None for any other generator."""
+    if tok == "J":
+        return ("J", "J", "J")
+    b = _translation_offset(tok, n)
+    return None if b is None else (f"T({(-b).to_string()})",)
 
 
 def _format_scalar(a) -> str:
@@ -184,12 +197,9 @@ def mat_inv(m: VahlenMatrix) -> VahlenMatrix:
     if m.word is not None:
         toks: list[str] = []
         for tok in reversed(m.word):
-            if tok == "J":
-                toks.extend(["J", "J", "J"])
-            elif (b := _translation_offset(tok, m.dim)) is not None:
-                toks.append(f"T({(-b).to_string()})")
-            else:
+            if (inv := _inverse_tokens(tok, m.dim)) is None:
                 break
+            toks.extend(inv)
         else:
             word = tuple(toks)
     return VahlenMatrix(m.d.reverse(), -m.b.reverse(), -m.c.reverse(), m.a.reverse(), word=word)

@@ -36,7 +36,8 @@ def _verdict(number: str, passed: bool, text: str) -> str:
 
 
 def test_criterion_01_exact_clifford_relations():
-    rep = check_clifford_relations(dims=(4, 8), samples=1000, seed=1)
+    rep = check_clifford_relations(seed=1)
+    assert rep.params == {"dims": [4, 8], "samples": 1000, "seed": 1}
     in_time = rep.seconds < 5.0
     line = _verdict("1", rep.passed and in_time,
                     f"generator relations for n=4,8 and 1000 random associativity/"
@@ -46,7 +47,8 @@ def test_criterion_01_exact_clifford_relations():
 
 
 def test_criterion_02_mobius_composition_and_half_space():
-    rep = check_mobius_homomorphism(n=4, p=1, pairs=200, points=20, seed=2)
+    rep = check_mobius_homomorphism(pairs=200, points=20, seed=2)
+    assert rep.params == {"n": 4, "p": 1, "pairs": 200, "points": 20, "seed": 2}
     line = _verdict("2", rep.passed,
                     f"composition residual {rep.residual:.2e} < {rep.threshold:.0e} over "
                     f"200 word pairs x 20 strip points, images stay in the half-space")
@@ -54,8 +56,10 @@ def test_criterion_02_mobius_composition_and_half_space():
 
 
 def test_criterion_03_kernel_multiplicativity_and_monogenicity():
-    rep_mult = check_kernel_multiplicativity(pairs=500, dims=(4, 5), weights=(1, 2), seed=3)
-    rep_mono = check_kernel_monogenicity(n=4, s=1, h=1e-4, points=10, seed=3)
+    rep_mult = check_kernel_multiplicativity(pairs=500, seed=3)
+    rep_mono = check_kernel_monogenicity(seed=3)
+    assert rep_mult.params == {"pairs": 500, "dims": [4, 5], "weights": [1, 2], "seed": 3}
+    assert rep_mono.params == {"n": 4, "s": 1, "h": 1e-4, "points": 10, "seed": 3}
     ok = rep_mult.passed and rep_mono.passed
     line = _verdict("3", ok,
                     f"multiplicativity residual {rep_mult.residual:.2e} < "
@@ -66,8 +70,9 @@ def test_criterion_03_kernel_multiplicativity_and_monogenicity():
 
 
 def test_criterion_04_jet_derivatives_match_finite_differences():
-    reps = [check_jet_vs_fd(n=4, points=25, max_order=3, h=1e-3, s=s, seed=4)
-            for s in (1, 2)]
+    reps = [check_jet_vs_fd(points=25, s=s, seed=4) for s in (1, 2)]
+    assert [r.params for r in reps] == [{"n": 4, "points": 25, "max_order": 3, "h": 1e-3, "s": s, "seed": 4}
+                                        for s in (1, 2)]
     worst = max(r.residual for r in reps)
     ok = all(r.passed for r in reps)
     line = _verdict("4", ok,
@@ -77,7 +82,8 @@ def test_criterion_04_jet_derivatives_match_finite_differences():
 
 
 def test_criterion_05_coset_counts_and_oracle_agreement():
-    rep = check_coset_counts(n=4, p=1, word_limit=6)
+    rep = check_coset_counts()
+    assert rep.params == {"n": 4, "p": 1, "word_limit": 6}
     in_time = rep.seconds < 30.0
     line = _verdict("5", rep.passed and in_time,
                     f"L=6 translation-coset counts ({rep.note}) ({rep.seconds:.2f}s < 30s)")
@@ -102,7 +108,8 @@ def test_criterion_06_large_height_limits():
 
 
 def test_criterion_07_odd_weight_cancellation():
-    rep = check_cancellation(n=4, p=1, s=1, word_limit=6)
+    rep = check_cancellation()
+    assert rep.params == {"n": 4, "p": 1, "s": 1, "word_limit": 6}
     line = _verdict("7", rep.passed,
                     f"symmetrized odd-weight sums vanish to {rep.residual:.1e} < "
                     f"{rep.threshold:.0e} on all five sign-symmetric variants "
@@ -123,7 +130,8 @@ def test_criterion_08_automorphy_residual_decreases():
 
 
 def test_criterion_09a_series_annihilated_at_interior_points():
-    rep = check_series_monogenicity(n=5, p=1, s=2, h=1e-2, word_limit=8, points=10, seed=0)
+    rep = check_series_monogenicity(seed=0)
+    assert rep.params == {"n": 5, "p": 1, "s": 2, "h": 1e-2, "word_limit": 8, "points": 10, "seed": 0}
     line = _verdict("9a", rep.passed,
                     f"iterated-operator residual of the truncated scalar series "
                     f"{rep.residual:.2e} < {rep.threshold:.0e} at 10 interior points "
@@ -179,7 +187,8 @@ def test_criterion_09b_deepening_the_sum_does_not_shrink_the_residual():
 
 
 def test_criterion_10_lattice_kernel_sums_do_not_vanish():
-    rep = check_zeta_nonvanishing(n=4, order=3, radii=(6, 8))
+    rep = check_zeta_nonvanishing(radii=(6, 8))
+    assert rep.params == {"n": 4, "order": 3, "radii": [6, 8]}
     line = _verdict("10", rep.passed,
                     f"some |m|=3 lattice kernel sum at R=8 has norm {rep.residual:.1f}, "
                     f"more than {rep.threshold:.0f}x its R=6->8 tail delta ({rep.note})")
@@ -187,7 +196,8 @@ def test_criterion_10_lattice_kernel_sums_do_not_vanish():
 
 
 def test_criterion_11_convergence_abscissa():
-    rep = check_abscissa(n=4, p=1, word_limit=8, alphas=(3.5, 1.5))
+    rep = check_abscissa()
+    assert rep.params == {"n": 4, "p": 1, "word_limit": 8, "alphas": [3.5, 1.5]}
     line = _verdict("11", rep.passed,
                     f"coset-sum increments decay for alpha=3.5 > p+1 and grow for "
                     f"alpha=1.5 < p+1 ({rep.note})")

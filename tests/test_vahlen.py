@@ -133,12 +133,13 @@ def test_translation_tokens_are_read_alike_by_the_inverse_and_the_certificate():
     n = 4
     one = VahlenMatrix.identity(n).entries()
     m = VahlenMatrix(*one, word=("T(2*e1)", "J", "T(-e1)"))
-    assert mat_inv(m).word == ("T(e1)", "J", "J", "J", "T(-2*e1)")
-    assert certified_in_gamma(m, 1)
     garbled = VahlenMatrix(*one, word=("T(e1)", "T(x)"))
-    with pytest.raises(ValueError):
-        mat_inv(garbled)
-    assert not certified_in_gamma(garbled, 1)
+    for _ in range(2):  # the token readers cache: a second read must agree, and a garbled token raise again
+        assert mat_inv(m).word == ("T(e1)", "J", "J", "J", "T(-2*e1)")
+        assert certified_in_gamma(m, 1)
+        with pytest.raises(ValueError):
+            mat_inv(garbled)
+        assert not certified_in_gamma(garbled, 1)
 
 def test_is_vahlen_three_states():
     n = 4
