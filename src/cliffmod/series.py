@@ -39,7 +39,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 
 from .clifford import Multivector
 from .congruence import (CosetRep, GroupDescriptor, _negated_key, contains_neg_identity,
@@ -98,7 +98,7 @@ class SeriesSpec:
             if self.m is None:
                 raise ValueError("vector series needs a derivative multi-index m")
             _check_multi_index(self.m, n, minimum=3)
-            _box_points(n, self.box_radius, include_zero=True)  # refuses an over-budget box now
+            _box_points(n, self.box_radius, pairs=False)  # refuses an over-budget box now
             require_jet_budget(n, sum(self.m))  # and an over-budget jet
         elif self.m is not None:
             raise ValueError(f"{self.kind} series takes no multi-index")
@@ -137,22 +137,27 @@ class SeriesResult:
 # ---- pure lattice series ----------------------------------------------------
 
 # Lattice boxes of more points than this are refused before any work (each
-# point costs one kernel jet).  It admits radius 2 in up to six variables
-# and radius 8 in three (the zeta sums of criterion 10 at n = 4).
+# point, or each +-omega pair of a symmetric sum, costs one kernel jet).  It
+# admits radius 2 in up to six variables and radius 8 in three (the zeta
+# sums of criterion 10 at n = 4).  The full box is counted either way.
 MAX_BOX_POINTS = 20_000
 
 
-def _box_points(dim: int, radius: int, include_zero: bool):
+def _box_points(dim: int, radius: int, pairs: bool):
     """Z^dim points with sup norm <= radius, a symmetric exhaustion, as an
-    iterator.  The radius (>= 1) and the MAX_BOX_POINTS budget are checked
-    when it is called, before any point is produced."""
+    iterator.  With `pairs` it yields one point of each pair +-omega != 0:
+    the points after zero in product order, whose first nonzero coordinate
+    is positive.  That suffices for a sum of q_m with q0 odd and |m| odd,
+    since q_m is then even.  The radius (>= 1) and the MAX_BOX_POINTS
+    budget are checked when it is called, before any point is produced."""
     if radius < 1:
         raise ValueError(f"a lattice box needs box_radius >= 1, got {radius}")
-    if (2 * radius + 1) ** dim > MAX_BOX_POINTS:
+    size = (2 * radius + 1) ** dim
+    if size > MAX_BOX_POINTS:
         raise ValueError(f"a box of radius {radius} in {dim} variables has more than the budget "
                          f"of {MAX_BOX_POINTS} lattice points; lower the box radius")
     box = product(range(-radius, radius + 1), repeat=dim)
-    return box if include_zero else (pt for pt in box if any(pt))
+    return islice(box, (size + 1) // 2, None) if pairs else box
 
 
 def _kernel_sum(points, ms, n: int) -> dict:
@@ -177,7 +182,9 @@ def zeta_m(m, n: int, box_radius: int) -> Multivector:
     """Lattice kernel sum  sum_{omega in Z^{n-1}, 0 < |omega|_inf <= R} q_m(omega).
 
     Needs |m| >= 3 odd: the summand then decays like |omega|^{-n-|m|+1}
-    and the symmetric box exhaustion converges absolutely.
+    and the symmetric box exhaustion converges absolutely.  q0 is odd and
+    |m| is odd, so q_m is even and each pair +-omega is summed as twice
+    one kernel jet.
     """
     m = tuple(m)
     return zeta_m_table([m], n, box_radius)[m]
@@ -189,8 +196,8 @@ def zeta_m_table(ms, n: int, box_radius: int) -> dict:
     for m in ms:
         _check_multi_index(m, n, minimum=3)
     points = ([float(k) for k in omega] + [0.0]
-              for omega in _box_points(n - 1, box_radius, include_zero=False))
-    return _kernel_sum(points, ms, n)
+              for omega in _box_points(n - 1, box_radius, pairs=True))
+    return {m: total * 2.0 for m, total in _kernel_sum(points, ms, n).items()}
 
 
 def epsilon_m(z: Multivector, m, box_radius: int = 4) -> Multivector:
@@ -202,21 +209,23 @@ def epsilon_m(z: Multivector, m, box_radius: int = 4) -> Multivector:
         raise ValueError("epsilon_m needs a grade-1 argument")
     zs = [float(c) for c in z.vector_components()]
     points = ([a + k for a, k in zip(zs, omega + (0,))]
-              for omega in _box_points(n - 1, box_radius, include_zero=True))
+              for omega in _box_points(n - 1, box_radius, pairs=False))
     return _kernel_sum(points, [m], n)[m]
 
 
 def lattice_G_m(x: Multivector, m, box_radius: int = 4) -> Multivector:
     """Two-parameter lattice series  sum_{(alpha, omega) != 0} q_m(alpha x + omega)
-    over |alpha| <= R, |omega|_inf <= R, for x in the upper half-space."""
+    over |alpha| <= R, |omega|_inf <= R, for x in the upper half-space.
+    q0 is odd and |m| is odd, so q_m is even: the points -(alpha x + omega)
+    and alpha x + omega share one kernel jet."""
     n = x.dim
     m = tuple(m)
     _check_multi_index(m, n, minimum=3)
     _require_half_space(x)
     xs = [float(c) for c in x.vector_components()]
     points = ([alpha * a + k for a, k in zip(xs, (*omega, 0))]
-              for alpha, *omega in _box_points(n, box_radius, include_zero=False))
-    return _kernel_sum(points, [m], n)[m]
+              for alpha, *omega in _box_points(n, box_radius, pairs=True))
+    return _kernel_sum(points, [m], n)[m] * 2.0
 
 
 # ---- coset series -----------------------------------------------------------

@@ -3,8 +3,9 @@ their string form, exact products associate and both involutions reverse
 them, exact generator words times their inverses are the identity, the
 exact Moebius action is a homomorphism on rational points, word balls
 grow by prefix, coset keys do not see a left translation by the group's
-translation lattice, and the indexed jet product agrees with a naive
-convolution of multi-index dicts."""
+translation lattice, the indexed jet product agrees with a naive
+convolution of multi-index dicts, and the odd-weight derivative kernels
+of odd order are even, bit for bit."""
 
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from cliffmod.congruence import (GroupDescriptor, bottom_row_key, gamma_ball, is
                                  translation_lattice)
 from cliffmod.harness import random_word_matrix
 from cliffmod.jets import Jet, multi_indices_upto
+from cliffmod.kernels import KernelJet
 from cliffmod.vahlen import VahlenMatrix, make_translation, mat_inv, mat_mul, mobius_apply
 
 
@@ -155,3 +157,28 @@ def test_jet_powers_multiply_by_adding_exponents(jet, p, q):
     lhs, rhs = jet.power(p) * jet.power(q), jet.power(p + q)
     size = max(max(map(abs, lhs.coeffs)), max(map(abs, rhs.coeffs)))
     assert all(abs(x - y) <= 1e-13 * size for x, y in zip(lhs.coeffs, rhs.coeffs))
+
+
+# ---- kernels ---------------------------------------------------------------------
+
+
+@st.composite
+def _odd_kernel_points(draw):
+    n = draw(st.integers(3, 6))
+    s, order = draw(st.sampled_from(range(1, n, 2))), draw(st.integers(1, 5))
+    y = draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n).filter(
+        lambda y: sum(c * c for c in y) >= 0.01))
+    return s, order, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(_odd_kernel_points())
+def test_odd_order_kernels_of_odd_weight_are_even_exactly(case):
+    # the symmetric lattice sums of series.py sum each pair +-omega as
+    # twice one kernel jet, which needs q_m(-y) == q_m(y) for odd s, |m|
+    s, order, y = case
+    jet = KernelJet(Multivector.vector(y), s, order)
+    mirrored = KernelJet(Multivector.vector([-c for c in y]), s, order)
+    for m in multi_indices_upto(len(y), order):
+        if sum(m) % 2:
+            assert mirrored.q_m(m) == jet.q_m(m)

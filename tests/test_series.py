@@ -14,7 +14,7 @@ from cliffmod.congruence import GroupDescriptor, contains_neg_identity, enumerat
 from cliffmod.harness import DEFAULT_THRESHOLDS
 from cliffmod.jets import multi_indices
 from cliffmod.kernels import KernelJet, dirac_power_fd, fd_partial, q0, q0_general, left_factor
-from cliffmod.series import (MAX_BOX_POINTS, SeriesResult, SeriesSpec, _closed_term, _coset_row,
+from cliffmod.series import (MAX_BOX_POINTS, SeriesResult, SeriesSpec, _box_points, _closed_term, _coset_row,
                              _coset_table, _factors, _sandwich, _vector_f_tilde, abscissa_diagnostic,
                              automorphy_residual, biregular_eisenstein, coset_counts, coset_norm_sums,
                              epsilon_m, evaluate, lattice_G_m, odd_weight_eisenstein, poincare_general,
@@ -111,7 +111,7 @@ def test_zeta_table_consistent():
 
 def test_zeta_parity_vanishing():
     # each component of d^m q0 is odd in some coordinate for this m, so
-    # the per-axis symmetric box cancels exactly
+    # the per-axis symmetric box cancels to roundoff
     assert zeta_m((1, 1, 1, 0), 4, 2).norm() < 1e-12
 
 
@@ -141,8 +141,7 @@ def test_lattice_G_m_splits_off_zeta():
         lattice_G_m(Multivector.vector([0.0, 0.0, 0.0, 1.0]), (1, 0, 0, 0))
 
 
-def test_lattice_G_m_is_the_explicit_box_sum():
-    # pins the point set: alpha x + omega over the box, the zero point excluded
+def _explicit_G_m():
     x = Multivector.vector([0.3, -0.7, 0.2, 1.4])
     m = (1, 0, 2, 0)
     total = Multivector.zero(4)
@@ -151,7 +150,33 @@ def test_lattice_G_m_is_the_explicit_box_sum():
             if alpha or any(omega):
                 arg = x * float(alpha) + Multivector.vector([float(k) for k in omega] + [0.0])
                 total = total + KernelJet(arg, 1, 3).q_m(m)
-    assert (lattice_G_m(x, m, box_radius=1) - total).norm() <= 1e-14 * total.norm()
+    return lattice_G_m(x, m, box_radius=1), total
+
+
+def _explicit_zeta_m():
+    m = (0, 0, 0, 3)
+    total = Multivector.zero(4)
+    for omega in itertools.product(range(-2, 3), repeat=3):
+        if any(omega):
+            total = total + KernelJet(Multivector.vector([float(k) for k in omega] + [0.0]), 1, 3).q_m(m)
+    return zeta_m_table([m], 4, 2)[m], total
+
+
+def test_lattice_G_m_is_the_explicit_box_sum():
+    # pins the point set: alpha x + omega (for zeta_m, omega) over the whole
+    # box, the zero point excluded, though the library sums one point per pair
+    for value, total in (_explicit_G_m(), _explicit_zeta_m()):
+        assert (value - total).norm() <= 1e-14 * total.norm()
+
+
+@pytest.mark.parametrize("dim, radius", [(d, r) for d in range(1, 6) for r in range(1, 4)])
+def test_half_box_holds_one_point_of_each_pair(dim, radius):
+    half = list(_box_points(dim, radius, pairs=True))
+    negatives = [tuple(-k for k in pt) for pt in half]
+    box = set(itertools.product(range(-radius, radius + 1), repeat=dim)) - {(0,) * dim}
+    assert len(half) + len(negatives) == len(box)
+    assert set(half) | set(negatives) == box
+    assert all(next(k for k in pt if k) > 0 for pt in half)
 
 
 _M3 = (0, 0, 0, 3)
